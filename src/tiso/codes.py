@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ShapeMismatch, Singular
 from .gf import FieldSpec
-from .matgf import MatGF, inverse_det, rref, rref_rank_kernel, trace
+from .matgf import MatGF, inverse_det, right_kernel, rref, trace
 from .tensor import Tensor3, slices
 
 
@@ -82,7 +82,7 @@ def hull(C: MatrixCode) -> MatrixCode:
     """H(C) = {X in C : Tr(XY) = 0 for all Y in C}, via the Gram kernel."""
     field = C.field
     G = gram_trace_form(C)
-    _, right, _ = rref_rank_kernel(G)
+    _, right = right_kernel(G)
     if not right:
         return MatrixCode(field, C.ambient_n,
                           field.ops.zeros((0, C.ambient_n ** 2)))

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvariantViolation, ShapeMismatch
 from .gf import FieldSpec
-from .matgf import MatGF, identity, inverse_det, rref_rank_kernel
+from .matgf import MatGF, identity, inverse_det, right_kernel
 from .tensor import kron, as_rng
 
 # above this size the dense n^2-unknown system is not attempted
@@ -59,7 +59,7 @@ def intertwiner_space(Atuple, Btuple) -> list:
     for A, B in zip(Atuple, Btuple):
         blocks.append(field.ops.sub(kron(I, A.T).a, kron(B, I).a))
     system = MatGF(field, np.concatenate(blocks, axis=0))
-    _, right, _ = rref_rank_kernel(system)
+    _, right = right_kernel(system)
     return [MatGF(field, v.reshape(n, n).copy()) for v in right]
 
 
@@ -163,7 +163,8 @@ def conj_with_seed(Atuple, Btuple, w, z):
     X = MatGF(field, np.stack(xs, axis=1))
     Y = MatGF(field, np.stack(ys, axis=1))
     Xinv, d = inverse_det(X)
-    assert d != 0
+    if d == 0:
+        raise InvariantViolation("Krylov basis of independent vectors is singular")
     T = Y @ Xinv
     if inverse_det(T)[1] == 0:
         return None, True
@@ -233,7 +234,7 @@ def _scalars_only_given_cyclic(field: FieldSpec, E: np.ndarray, Atuple) -> bool:
             cols.append(comm.reshape(-1))
         rows.append(np.stack(cols, axis=1))
     system = MatGF(field, np.concatenate(rows, axis=0))
-    _, right, _ = rref_rank_kernel(system)
+    _, right = right_kernel(system)
     return len(right) == 1
 
 
@@ -264,8 +265,8 @@ def generates_full_algebra(A1: MatGF, A2: MatGF) -> bool:
             if ech.add(N.reshape(-1)):
                 basis.append(N)
     full = ech.rank == n * n
-    if full and n <= 8:
-        # the full algebra has a trivial centralizer; the converse can fail
-        # (non-semisimple proper algebras may also have scalar centralizer)
-        assert len(intertwiner_space((A1, A2), (A1, A2))) == 1
+    # the full algebra has a trivial centralizer; the converse can fail
+    # (non-semisimple proper algebras may also have scalar centralizer)
+    if full and n <= 8 and len(intertwiner_space((A1, A2), (A1, A2))) != 1:
+        raise InvariantViolation("full matrix algebra with a non-scalar centralizer")
     return full

@@ -53,5 +53,9 @@ class TooLarge(TisoError):
     pass
 
 
+class InvariantViolation(TisoError):
+    """Internal-consistency alarm: an invariant of an exact computation failed."""
+
+
 class NonIntegralCount(TisoError):
     """Internal-consistency alarm: a count formula evaluated to a non-integer."""

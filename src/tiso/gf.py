@@ -23,6 +23,7 @@ from .errors import (
     DegreeMismatch,
     DivideByZero,
     FieldMismatch,
+    InvariantViolation,
     NotPrime,
     ReducibleModulus,
 )
@@ -407,7 +408,8 @@ def absolute_trace(spec: FieldSpec, a: int) -> int:
         t = spec.pow(t, spec.p)
         acc = spec.add(acc, t)
     # the result lies in the prime subfield, i.e. only the low digit survives
-    assert acc < spec.p, "trace left the prime subfield"
+    if acc >= spec.p:
+        raise InvariantViolation("trace left the prime subfield")
     return acc
 
 

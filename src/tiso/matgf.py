@@ -4,10 +4,14 @@ Matrices wrap numpy arrays of canonical field reps.  Prime fields run on
 vectorized int64 modular arithmetic (object dtype above the overflow
 threshold); extension fields go through the table-driven ops in
 :mod:`tiso.gf`.  Everything here is exact.
+`right_kernel` takes one elimination (`rref_rank_kernel` adds the left
+kernel), and `solve_linear` reads the solutions for many right-hand sides and
+the kernel off one elimination of [A | b].
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +74,8 @@ class MatGF:
 
 def mat(field: FieldSpec, rows) -> MatGF:
     ops = field.ops
-    arr = np.array([[field.check(int(x)) for x in r] for r in rows], dtype=ops.dtype)
+    # operator.index refuses 1.5 or "3" rather than truncating or parsing it
+    arr = np.array([[field.check(operator.index(x)) for x in r] for r in rows], dtype=ops.dtype)
     if arr.ndim != 2:
         raise ShapeMismatch("expected a 2-D matrix")
     return MatGF(field, arr)
@@ -124,24 +129,26 @@ def rref(field: FieldSpec, M: np.ndarray, pivot_cols_limit=None):
     return R, pivots
 
 
+def right_kernel(A: MatGF):
+    """(rank, canonical right kernel basis of 1-D arrays) from one rref of A."""
+    R, pivots = rref(A.field, A.a)
+    return len(pivots), _kernel_from_rref(A.field, R, pivots, A.cols)
+
+
 def rref_rank_kernel(A: MatGF):
     """(rank, right kernel basis, left kernel basis), kernels canonical.
 
-    Right-kernel elements are column vectors (1-D arrays), left-kernel
-    elements are row vectors.
+    Left-kernel elements are row vectors (the right kernel of A^T); for a tall
+    A that is a (rows - rank) x rows basis, so use `right_kernel` if unread.
     """
-    field = A.field
-    R, pivots = rref(field, A.a)
-    rank = len(pivots)
-    right = _kernel_from_rref(field, R, pivots, A.cols)
-    Rt, pivots_t = rref(field, A.a.T)
-    left = _kernel_from_rref(field, Rt, pivots_t, A.rows)
+    rank, right = right_kernel(A)
+    _, left = right_kernel(A.T)
     return rank, right, left
 
 
 def _kernel_from_rref(field, R, pivots, ncols):
     ops = field.ops
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    free = sorted(set(range(ncols)).difference(pivots))
     if not free:
         return []
     basis = ops.zeros((len(free), ncols))
@@ -156,29 +163,27 @@ def _kernel_from_rref(field, R, pivots, ncols):
 
 
 def solve_linear(A: MatGF, b: np.ndarray, side: str = "right"):
-    """Solve A x = b (right) or x A = b (left).
+    """Solve A x = b (right) or x A = b (left) with one elimination of [A | b].
 
-    Returns (particular, kernel_basis) or None when inconsistent.
+    b is one right-hand side or several: the columns of a 2-D b (right) or its
+    rows (left).  Returns (particular solutions laid out like b, kernel basis),
+    or None when any right-hand side is inconsistent.
     """
-    field = A.field
     if side == "left":
-        res = solve_linear(A.T, np.asarray(b), side="right")
-        return res
-    ops = field.ops
-    b = np.asarray(b).reshape(-1)
-    if b.shape[0] != A.rows:
+        res = solve_linear(A.T, np.asarray(b).T, side="right")
+        return None if res is None else (res[0].T, res[1])
+    field = A.field
+    b = np.asarray(b)
+    if b.ndim not in (1, 2) or b.shape[0] != A.rows:
         raise ShapeMismatch("rhs length mismatch")
-    aug = np.concatenate([A.a, b[:, None].astype(A.a.dtype, copy=False)], axis=1)
-    R, pivots = rref(field, aug, pivot_cols_limit=A.cols)
-    # inconsistent iff a nonzero entry remains in the last column below pivots
-    for i in range(len(pivots), A.rows):
-        if R[i, A.cols] != 0:
-            return None
-    x = ops.zeros((A.cols,))
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, A.cols]
-    _, right, _ = rref_rank_kernel(A)
-    return x, right
+    rhs = b.reshape(A.rows, -1).astype(A.a.dtype, copy=False)
+    R, pivots = rref(field, np.concatenate([A.a, rhs], axis=1), pivot_cols_limit=A.cols)
+    # the left block is rref(A); a nonzero rhs entry below its pivots is inconsistent
+    if R[len(pivots):, A.cols:].any():
+        return None
+    x = field.ops.zeros((A.cols, rhs.shape[1]))
+    x[pivots] = R[:len(pivots), A.cols:]
+    return x.reshape((A.cols,) + b.shape[1:]), _kernel_from_rref(field, R, pivots, A.cols)
 
 
 def inverse_det(A: MatGF):
@@ -344,7 +349,8 @@ def unique_simple_eigenvalue(A: MatGF, require_nonzero: bool = False, rng=None):
     n = A.rows
     shifted = A - identity(field, n).scale(lam)
     _, right, left = rref_rank_kernel(shifted)
-    assert len(right) == 1 and len(left) == 1
+    if len(right) != 1 or len(left) != 1:
+        raise NotSimpleEigenvalue(f"eigenspaces of the simple eigenvalue {lam} are not lines")
     v = _normalize_first_nonzero(field, left[0])
     w = _normalize_first_nonzero(field, right[0])
     return lam, v, w
@@ -369,11 +375,11 @@ def primary_split_basis(A: MatGF, lam: int, rng=None) -> MatGF:
     Rt, pivots = rref(field, shifted.a.T)
     if len(pivots) != n - 1:
         raise NotSimpleEigenvalue("unexpected rank of A - lam*I")
-    _, right, _ = rref_rank_kernel(shifted)
-    w = right[0]
+    w = right_kernel(shifted)[1][0]
     M = np.concatenate([w[:, None], Rt[: n - 1].T], axis=1)
     Minv, d = inverse_det(MatGF(field, M))
-    assert d != 0, "eigenvector unexpectedly inside the complement"
+    if d == 0:
+        raise NotSimpleEigenvalue("eigenvector unexpectedly inside the complement")
     return Minv
 
 
@@ -416,7 +422,3 @@ def random_invertible(spec: FieldSpec, n: int, rng) -> MatGF:
         if d != 0:
             return A
 
-
-def random_vector(spec: FieldSpec, n: int, rng) -> np.ndarray:
-    v = rng.integers(0, spec.q, size=n, dtype=np.int64)
-    return v.astype(spec.ops.dtype, copy=False)

@@ -122,18 +122,6 @@ def poly_eval(f: Poly, a: int) -> int:
     return acc
 
 
-def poly_arith(f: Poly, g: Poly, op: str):
-    if op == "add":
-        return poly_add(f, g)
-    if op == "mul":
-        return poly_mul(f, g)
-    if op == "divmod":
-        return poly_divmod(f, g)
-    if op == "gcd":
-        return poly_gcd(f, g)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def powmod(base: Poly, e: int, modulus: Poly) -> Poly:
     if modulus.degree < 1:
         raise DivideByZero("powmod modulus must be nonconstant")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .codes import code_from_matrices, hull
 from .conj import generates_full_algebra
-from .errors import BadParams, NonIntegralCount, TooLarge
+from .errors import BadParams, InvariantViolation, NonIntegralCount, TooLarge
 from .gf import FieldSpec, additive_character
 from .matgf import (MatGF, charpoly, random_matrix, rref, trace_of_square,
                     unique_simple_eigenvalue)
@@ -706,14 +706,9 @@ def brute_force_census(n: int, q: int) -> CensusReport:
         _census_fast(field, n, counts)
     else:
         _census_slow(field, n, counts)
-    assert sum(counts.values()) == q ** (n * n)
+    if sum(counts.values()) != q ** (n * n):
+        raise InvariantViolation(f"census of M({n}, {q}) does not cover every matrix")
     return CensusReport(n, q, counts)
-
-
-def spectral_census(n: int, q: int) -> CensusReport:
-    """Alias of brute_force_census; the report's beta/gamma accessors give
-    the trace-conditioned eigenvalue-free and unique-simple slices."""
-    return brute_force_census(n, q)
 
 
 def _census_fast(field: FieldSpec, n: int, counts: dict):

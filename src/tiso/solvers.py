@@ -14,12 +14,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BadParams, ShapeMismatch
+from .errors import (BadParams, InvariantViolation, NotSimpleEigenvalue,
+                     ShapeMismatch, Singular)
 from .codes import code_from_slices, hull
 from .conj import (FULL_SYSTEM_MAX_N, centralizer_is_scalars, conj_coset,
                    conj_with_seed, intertwiner_space)
-from .matgf import (MatGF, eigen_profile, identity, inverse_det, rref,
-                    rref_rank_kernel, solve_linear, unique_simple_eigenvalue,
+from .matgf import (MatGF, eigen_profile, identity, inverse_det, right_kernel,
+                    rref, rref_rank_kernel, solve_linear, unique_simple_eigenvalue,
                     primary_split_basis)
 from .tensor import (Tensor3, Tensor4, Verdict, as_rng, flatten4, kron,
                      slices, vec_to_matrix, verify_witness)
@@ -39,7 +40,8 @@ class StageTrace:
     entries: list = dc_field(default_factory=list)
 
     def record(self, stage: str, outcome: str, *payload):
-        assert stage in STAGES
+        if stage not in STAGES:
+            raise BadParams(f"unknown stage {stage!r}")
         self.entries.append(
             {"stage": stage, "outcome": outcome,
              "digest": _digest(*payload) if payload else ""})
@@ -191,8 +193,8 @@ def solve_algiso(A: Tensor3, B: Tensor3, rng=None):
     if not ok:
         return _notiso(trace, "step6")
     W = T.scale(lam)
-    ok2, lam2 = verify_witness("algiso", A, B, {"T": W})
-    assert ok2 and lam2 == 1
+    if verify_witness("algiso", A, B, {"T": W}) != (True, 1):
+        raise InvariantViolation("rescaled algiso witness failed to re-verify")
     trace.record("step6", "pass", W.a)
     return Verdict("Isomorphic", witness={"T": W}, scalar=lam), trace
 
@@ -240,7 +242,8 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     PB = primary_split_basis(hBs, lamA, rng)
     PAinv, dA = inverse_det(PA)
     PBinv, dB = inverse_det(PB)
-    assert dA != 0 and dB != 0
+    if dA == 0 or dB == 0:
+        raise Singular("primary split basis is singular")
     Aslices = [PA @ M @ PAinv for M in slices(A, "frontal")]
     Bslices = [PB @ M @ PBinv for M in slices(B, "frontal")]
     hAt = PA @ hA @ PAinv
@@ -251,7 +254,7 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     def hyper_normal(mats):
         tilde = np.stack([M.a[:, 0] for M in mats], axis=1)  # column j from slice j
         hat = MatGF(field, tilde[1:, :].copy())
-        _, right, _ = rref_rank_kernel(hat)
+        _, right = right_kernel(hat)
         if len(right) != 1:
             return None
         return right[0]
@@ -320,14 +323,11 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     if S is None:
         return _notiso(trace, "step6")
     K = MatGF(field, np.stack([(S @ M).a.reshape(-1) for M in Aslices], axis=0))
-    trows = []
-    for i in range(n):
-        rhs = (Bslices[i] @ S).a.reshape(-1)
-        sol = solve_linear(K, rhs, side="left")
-        if sol is None:
-            return _notiso(trace, "step6")
-        trows.append(sol[0])
-    T = MatGF(field, np.stack(trows, axis=0))
+    rhs = np.stack([(Bi @ S).a.reshape(-1) for Bi in Bslices], axis=0)
+    sol = solve_linear(K, rhs, side="left")
+    if sol is None:
+        return _notiso(trace, "step6")
+    T = MatGF(field, sol[0])
     if inverse_det(T)[1] == 0:
         return _notiso(trace, "step6")
     S_orig = PBinv @ S @ PA
@@ -367,8 +367,9 @@ def _gram_operator_vector(field, mats, h, rng):
         return None
     mu = simple_nonzero[0]
     shifted = MatGF(field, ops.sub(Psi.a, ops.mul(identity(field, Psi.rows).a, mu)))
-    _, right, _ = rref_rank_kernel(shifted)
-    assert len(right) == 1
+    _, right = right_kernel(shifted)
+    if len(right) != 1:
+        raise NotSimpleEigenvalue(f"eigenspace of the simple eigenvalue {mu} is not a line")
     return mu, right[0]
 
 
@@ -427,7 +428,8 @@ def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats, rng
             # c = 1 never reaches here (the centralizer gate fails first)
             continue
         Rinv, dR = inverse_det(R)
-        assert dR != 0
+        if dR == 0:
+            raise Singular("conjugacy representative is singular")
         Lt = A1 @ Rinv @ B1inv
         L = Lt.T
         KLR = kron(L, R)
@@ -545,7 +547,8 @@ def solve_t4(A: Tensor4, B: Tensor4, c_max: int = 4, rng=None):
         for S, T, KST in K2:
             if (ops.matmul(mid, KST.a.T) == flB.a).all():
                 witness = {"L": L, "R": R, "S": S, "T": T}
-                assert verify_witness("t4", A, B, witness)
+                if not verify_witness("t4", A, B, witness):
+                    raise InvariantViolation("t4 witness failed to re-verify")
                 trace.record("step6", "pass", KLR.a, KST.a)
                 return Verdict("Isomorphic", witness=witness), trace
     return _notiso(trace, "step6")

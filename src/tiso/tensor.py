@@ -7,11 +7,13 @@ Index conventions are 0-based internally; the pairing index map used by
 
 from __future__ import annotations
 
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, ShapeMismatch, Singular
+from .errors import BadParams, FieldMismatch, ShapeMismatch, Singular
 from .gf import FieldSpec, field_create, _prime_factors
 from .matgf import MatGF, inverse_det, random_invertible, rref
 from . import matgf
@@ -75,20 +77,6 @@ class Verdict:
         if self.witness is not None:
             d["witness"] = {k: v.tolist() for k, v in self.witness.items()}
         return d
-
-
-def tensor3(field: FieldSpec, entries) -> Tensor3:
-    a = np.asarray(entries, dtype=field.ops.dtype)
-    if a.ndim != 3:
-        raise ShapeMismatch("expected a 3-way array")
-    return Tensor3(field, a)
-
-
-def tensor4(field: FieldSpec, entries) -> Tensor4:
-    a = np.asarray(entries, dtype=field.ops.dtype)
-    if a.ndim != 4:
-        raise ShapeMismatch("expected a 4-way array")
-    return Tensor4(field, a)
 
 
 # ---------------------------------------------------------------------------
@@ -385,27 +373,40 @@ def instance_to_json(problem: str, A, B, meta=None) -> dict:
     }
 
 
+@contextmanager
+def _malformed(what: str, d):
+    """Re-raise what a malformed JSON document breaks as a one-line BadParams;
+    integers are read with operator.index, which refuses 1.5 or "3"."""
+    if not isinstance(d, dict):
+        raise BadParams(f"malformed {what}: expected a JSON object")
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, FieldMismatch) as e:
+        raise BadParams(f"malformed {what}: {type(e).__name__} {e}") from None
+
+
 def _field_from_json(d: dict) -> FieldSpec:
-    return field_create(int(d["p"]), int(d.get("m", 1)),
+    return field_create(operator.index(d["p"]), operator.index(d.get("m", 1)),
                         tuple(d["modulus"]) if d.get("modulus") else None)
 
 
 def instance_from_json(d: dict):
-    problem = d["problem"]
-    if problem not in PROBLEMS:
-        raise BadParams(f"unknown problem {problem!r}")
-    field = _field_from_json(d["field"])
-    n = int(d["n"])
-    shape = (n, n, n, n) if problem == "t4" else (n, n, n)
-    size = int(np.prod(shape))
-    out = []
-    for key in ("A", "B"):
-        flat = [field.check(int(x)) for x in d[key]]
-        if len(flat) != size:
-            raise BadParams(f"entry list {key} has wrong length")
-        arr = np.asarray(flat, dtype=field.ops.dtype).reshape(shape)
-        out.append(Tensor4(field, arr) if problem == "t4" else Tensor3(field, arr))
-    return problem, out[0], out[1], d.get("meta", {})
+    with _malformed("instance", d):
+        problem = d["problem"]
+        if problem not in PROBLEMS:
+            raise BadParams(f"unknown problem {problem!r}")
+        field = _field_from_json(d["field"])
+        n = operator.index(d["n"])
+        shape = (n, n, n, n) if problem == "t4" else (n, n, n)
+        size = int(np.prod(shape))
+        out = []
+        for key in ("A", "B"):
+            flat = [field.check(operator.index(x)) for x in d[key]]
+            if len(flat) != size:
+                raise BadParams(f"entry list {key} has wrong length")
+            arr = np.asarray(flat, dtype=field.ops.dtype).reshape(shape)
+            out.append(Tensor4(field, arr) if problem == "t4" else Tensor3(field, arr))
+        return problem, out[0], out[1], d.get("meta", {})
 
 
 def witness_to_json(problem: str, witness: dict, lam=None) -> dict:
@@ -417,5 +418,9 @@ def witness_to_json(problem: str, witness: dict, lam=None) -> dict:
 
 
 def witness_from_json(d: dict, field: FieldSpec):
-    mats = {k: matgf.mat(field, rows) for k, rows in d["matrices"].items()}
-    return d["problem"], mats, d.get("lambda")
+    with _malformed("witness", d):
+        problem = d["problem"]
+        keys = {"algiso": "T", "mcc": "ST", "t4": "LRST"}[problem]
+        mats = {k: matgf.mat(field, d["matrices"][k]) for k in keys}
+        lam = d.get("lambda")
+        return problem, mats, None if lam is None else operator.index(lam)

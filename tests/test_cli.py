@@ -66,6 +66,48 @@ def test_malformed_instance_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+MALFORMED_INSTANCES = {
+    "top_level_list": lambda d: [1, 2],
+    "missing_A": lambda d: {k: v for k, v in d.items() if k != "A"},
+    "n_not_an_integer": lambda d: {**d, "n": "x"},
+    "float_entry": lambda d: {**d, "A": [1.5] + d["A"][1:]},
+    "entry_out_of_range": lambda d: {**d, "B": d["B"][:-1] + [5]},
+}
+MALFORMED_WITNESSES = {
+    "missing_T": lambda d: {**d, "matrices": {}},
+    "float_entry": lambda d: {**d, "matrices": {"T": [[1.5] + d["matrices"]["T"][0][1:]]
+                                                + d["matrices"]["T"][1:]}},
+    "float_lambda": lambda d: {**d, "lambda": 1.0},
+}
+
+
+def _gen_algiso(tmp_path, capsys):
+    inst, wit = tmp_path / "inst.json", tmp_path / "wit.json"
+    run(capsys, "gen", "--problem", "algiso", "--n", "4", "--p", "5", "--seed", "1",
+        "--out", str(inst), "--witness-out", str(wit))
+    return inst, wit
+
+
+def _assert_one_line_usage_error(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1 and err.startswith("error: malformed")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INSTANCES))
+def test_malformed_instance_json_is_one_line_usage_error(tmp_path, capsys, case):
+    inst, _ = _gen_algiso(tmp_path, capsys)
+    inst.write_text(json.dumps(MALFORMED_INSTANCES[case](json.loads(inst.read_text()))))
+    _assert_one_line_usage_error(capsys, "solve", str(inst))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WITNESSES))
+def test_malformed_witness_json_is_one_line_usage_error(tmp_path, capsys, case):
+    inst, wit = _gen_algiso(tmp_path, capsys)
+    wit.write_text(json.dumps(MALFORMED_WITNESSES[case](json.loads(wit.read_text()))))
+    _assert_one_line_usage_error(capsys, "verify", str(inst), str(wit))
+
+
 def test_trial_seed_is_pure_and_wide():
     assert trial_seed(0, 0) == trial_seed(0, 0)
     assert trial_seed(0, 0) != trial_seed(0, 1)

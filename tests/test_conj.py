@@ -1,5 +1,7 @@
 """Intertwiner spaces, tuple conjugacy, centralizers, algebra generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,22 @@ def test_centralizer_is_scalars_random_pair():
         if centralizer_is_scalars(A, rng):
             hits += 1
     assert hits >= 15  # overwhelmingly scalar for random pairs
+
+
+def test_centralizer_is_scalars_memory_is_one_sided():
+    """The n=48 gate solves a 4608 x 48 system; its left kernel alone would
+    be a 4560 x 4608 int64 basis (168 MB), and nothing reads it."""
+    field = field_create((1 << 20) + 7)
+    rng = np.random.default_rng(9)
+    pair = (random_matrix(field, 48, 48, rng), random_matrix(field, 48, 48, rng))
+    tracemalloc.start()
+    try:
+        scalars = centralizer_is_scalars(pair, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scalars is True
+    assert peak < 32 * 2 ** 20
 
 
 def test_centralizer_not_scalars_for_polynomial_tuple():

@@ -9,13 +9,16 @@ from tiso.errors import NotSimpleEigenvalue, ShapeMismatch
 from tiso.gf import field_create
 from tiso.matgf import (MatGF, charpoly, det, eigen_profile, identity,
                         inverse_det, mat, poly_at_matrix, primary_split_basis,
-                        random_invertible, random_matrix, rref,
+                        random_invertible, random_matrix, right_kernel, rref,
                         rref_rank_kernel, solve_linear, trace, trace_of_square,
                         unique_simple_eigenvalue, zeros)
 from tiso.poly import poly_eval
 
 F5 = field_create(5)
 F4 = field_create(2, 2)
+# one field per FieldOps backend and on both sides of the int64 threshold
+KERNEL_FIELDS = [F5, field_create((1 << 20) + 7), field_create((1 << 31) - 1),
+                 field_create(2, 8), field_create(3, 5)]
 
 
 def _rand(field, r, c, seed):
@@ -51,6 +54,62 @@ def test_kernel_basis_is_canonical_under_row_scrambling():
         assert len(right1) == len(right2)
         for v, w in zip(right1, right2):
             assert (v == w).all()
+
+
+def _low_rank(field, r, c, k, rng):
+    """An r x c matrix of rank at most k, so both kernels are nontrivial."""
+    return random_matrix(field, r, k, rng) @ random_matrix(field, k, c, rng)
+
+
+def _same_basis(us, vs):
+    return len(us) == len(vs) and all(
+        u.dtype == v.dtype and (u == v).all() for u, v in zip(us, vs))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_right_kernel_is_the_right_part_of_rref_rank_kernel(field):
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        r, c = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        k = int(rng.integers(0, min(r, c) + 1))
+        A = _low_rank(field, r, c, k, rng) if k else random_matrix(field, r, c, rng)
+        rank, right = right_kernel(A)
+        rank2, right2, left = rref_rank_kernel(A)
+        assert rank == rank2 and _same_basis(right, right2)
+        assert rank + len(left) == r
+        for v in right:
+            assert not field.ops.matmul(A.a, v[:, None]).any()
+
+
+@pytest.mark.parametrize("field", [F5, F4, field_create((1 << 31) - 1)], ids=str)
+def test_solve_linear_multi_rhs_matches_column_solves(field):
+    rng = np.random.default_rng(43)
+    A = _low_rank(field, 7, 6, 4, rng)
+    B = (A @ random_matrix(field, 6, 3, rng)).a  # three consistent columns
+    x, kern = solve_linear(A, B)
+    assert x.shape == (6, 3) and _same_basis(kern, right_kernel(A)[1])
+    for j in range(3):
+        xj, kj = solve_linear(A, B[:, j])
+        assert (x[:, j] == xj).all() and _same_basis(kern, kj)
+    C = (random_matrix(field, 3, 7, rng) @ A).a  # three consistent rows
+    y, lkern = solve_linear(A, C, side="left")
+    assert y.shape == (3, 7) and (field.ops.matmul(y, A.a) == C).all()
+    for i in range(3):
+        yi, ki = solve_linear(A, C[i], side="left")
+        assert (y[i] == yi).all() and _same_basis(lkern, ki)
+    # one inconsistent column (or row) makes the whole solve inconsistent
+    B[:, 1] = _inconsistent(A, "right", rng)
+    assert solve_linear(A, B) is None
+    C[2] = _inconsistent(A, "left", rng)
+    assert solve_linear(A, C, side="left") is None
+
+
+def _inconsistent(A, side, rng):
+    length = A.rows if side == "right" else A.cols
+    while True:
+        b = random_matrix(A.field, 1, length, rng).a[0]
+        if solve_linear(A, b, side=side) is None:
+            return b
 
 
 def test_inverse_det_round_trip():

@@ -1,5 +1,10 @@
 """The three six-stage decision pipelines."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,6 +69,34 @@ def test_algiso_deep_instance_full_pipeline():
     assert trace.outcome("step6") == "pass"
     ok, lam = verify_witness("algiso", A, B, verdict.witness)
     assert ok and lam == 1
+
+
+_OPTIMIZED_ALGISO = """
+import json, sys
+import numpy as np
+from conftest import deep_slices
+from tiso.gf import field_create
+from tiso.matgf import random_invertible
+from tiso.solvers import solve_algiso
+from tiso.tensor import act_algebra, reassemble, verify_witness
+F = field_create(5)
+rng = np.random.default_rng(8)
+A = reassemble(F, deep_slices(F, 8, rng), "horizontal")
+B = act_algebra(A, random_invertible(F, 8, rng))
+verdict, _ = solve_algiso(A, B, np.random.default_rng(8))
+ok, lam = verify_witness("algiso", A, B, verdict.witness) if verdict.witness else (False, None)
+print(json.dumps([sys.flags.optimize, verdict.kind, ok, int(lam or 0)]))
+"""
+
+
+def test_planted_algiso_under_python_O_returns_a_verifying_witness():
+    """python -O strips asserts; the solver's own checks must not depend on them."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src"), here]))
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_ALGISO], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert json.loads(out.stdout.splitlines()[-1]) == [1, "Isomorphic", True, 1]
 
 
 def test_mcc_deep_instance_full_pipeline():
