@@ -23,12 +23,12 @@ from fractions import Fraction
 
 from . import rmt
 from .errors import (BadParams, NotPrime, ReducibleModulus, ShapeMismatch,
-                     TisoError)
+                     TisoError, TooLarge)
 from .gf import field_create
 from .solvers import STAGES, solve
 from .tensor import (PROBLEMS, gen_instance, instance_from_json,
-                     instance_to_json, verify_witness, witness_from_json,
-                     witness_to_json)
+                     instance_to_json, prime_power, verify_witness,
+                     witness_from_json, witness_to_json)
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE = 0, 1, 2
 
@@ -342,6 +342,7 @@ def _rmt_limits(args) -> dict:
 
 
 def cmd_rmt(args) -> int:
+    prime_power(args.q)
     action = {"exact": _rmt_exact, "census": _rmt_census,
               "mc": _rmt_mc, "limits": _rmt_limits}[args.action]
     doc = action(args)
@@ -471,7 +472,7 @@ def main(argv=None) -> int:
         ap.error("rmt exact/census/mc need a quantity name")
     try:
         return args.func(args)
-    except (BadParams, NotPrime, ReducibleModulus, ShapeMismatch) as e:
+    except (BadParams, NotPrime, ReducibleModulus, ShapeMismatch, TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TisoError as e:

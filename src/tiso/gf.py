@@ -443,6 +443,10 @@ class FieldOps:
             self._mul_ufunc = np.frompyfunc(spec.mul, 2, 1)
         else:
             self._mul_ufunc = None
+        if self.big or self._mul_ufunc is not None:
+            self._inv_ufunc = np.frompyfunc(lambda a: spec.inv(a) if a else 0, 1, 1)
+        else:
+            self._inv_ufunc = None
 
     def asarray(self, x):
         return np.asarray(x, dtype=self.dtype)
@@ -496,7 +500,29 @@ class FieldOps:
     def scalar_inv(self, a: int) -> int:
         return self.spec.inv(int(a))
 
+    def inv(self, x):
+        """Elementwise inverse; zero entries map to zero."""
+        x = np.asarray(x, dtype=self.dtype)
+        if self._inv_ufunc is not None:
+            return self._inv_ufunc(x).astype(self.dtype)
+        if self.prime:
+            # Fermat, x^(p-2) by squaring; products stay below 2^50
+            out = np.ones_like(x)
+            base, e = x, self.p - 2
+            while e:
+                if e & 1:
+                    out = out * base % self.p
+                base = base * base % self.p
+                e >>= 1
+            return out * (x != 0)
+        log, exp = self.spec._tables
+        out = np.zeros_like(x)
+        mask = x != 0
+        out[mask] = exp[(-log[x[mask]]) % (self.q - 1)]
+        return out
+
     def matmul(self, A, B):
+        """A @ B; leading axes of either operand are stack axes, as in numpy."""
         if self.prime:
             k = A.shape[-1]
             if not self.big and k * (self.p - 1) ** 2 < (1 << 62):
@@ -505,10 +531,11 @@ class FieldOps:
         # extension field: accumulate rank-1 outer products with field ops
         A = np.asarray(A)
         B = np.asarray(B)
-        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-        for k in range(A.shape[1]):
-            col = A[:, k]
+        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+        out = np.zeros(shape, dtype=np.int64)
+        for k in range(A.shape[-1]):
+            col = A[..., :, k]
             if not col.any():
                 continue
-            out = self.add(out, self.mul(col[:, None], B[None, k, :]))
+            out = self.add(out, self.mul(col[..., :, None], B[..., None, k, :]))
         return out

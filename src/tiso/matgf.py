@@ -129,6 +129,38 @@ def rref(field: FieldSpec, M: np.ndarray, pivot_cols_limit=None):
     return R, pivots
 
 
+def rref_stack(field: FieldSpec, M: np.ndarray):
+    """`rref` of every slice of a (k, rows, cols) stack, column by column.
+
+    Returns (R, ranks, pivots): the reduced stack, the rank of each slice and
+    a (k, cols) boolean mask of its pivot columns.  R[i] equals
+    rref(field, M[i])[0], and M[i]'s pivot columns are nonzero(pivots[i]).
+    """
+    ops = field.ops
+    R = np.array(M, dtype=ops.dtype, copy=True)
+    k, rows, cols = R.shape
+    ranks = np.zeros(k, dtype=np.int64)
+    pivots = np.zeros((k, cols), dtype=bool)
+    below = np.arange(rows)[None, :]
+    for c in range(cols):
+        # a slice pivots here if column c is nonzero at or below its next row
+        cand = (R[:, :, c] != 0) & (below >= ranks[:, None])
+        s = np.nonzero(cand.any(axis=1))[0]
+        if not len(s):
+            continue
+        r = ranks[s]
+        pr = cand[s].argmax(axis=1)
+        R[s, r], R[s, pr] = R[s, pr], R[s, r]
+        row = ops.mul(R[s, r], ops.inv(R[s, r, c])[:, None])
+        factors = R[s, :, c].copy()
+        factors[np.arange(len(s)), r] = 0
+        R[s] = ops.sub(R[s], ops.mul(factors[:, :, None], row[:, None, :]))
+        R[s, r] = row
+        pivots[s, c] = True
+        ranks[s] += 1
+    return R, ranks, pivots
+
+
 def right_kernel(A: MatGF):
     """(rank, canonical right kernel basis of 1-D arrays) from one rref of A."""
     R, pivots = rref(A.field, A.a)

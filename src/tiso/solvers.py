@@ -20,8 +20,8 @@ from .codes import code_from_slices, hull
 from .conj import (FULL_SYSTEM_MAX_N, centralizer_is_scalars, conj_coset,
                    conj_with_seed, intertwiner_space)
 from .matgf import (MatGF, eigen_profile, identity, inverse_det, right_kernel,
-                    rref, rref_rank_kernel, solve_linear, unique_simple_eigenvalue,
-                    primary_split_basis)
+                    rref, rref_rank_kernel, rref_stack, solve_linear,
+                    unique_simple_eigenvalue, primary_split_basis)
 from .tensor import (Tensor3, Tensor4, Verdict, as_rng, flatten4, kron,
                      slices, vec_to_matrix, verify_witness)
 
@@ -378,65 +378,99 @@ def _gram_operator_vector(field, mats, h, rng):
 
 
 _T4_ENUM_CAP = 1 << 18
+# cells of stacked work arrays per chunk of enumerated code elements, so that
+# peak memory does not grow with the enumeration size
+_T4_CHUNK_CELLS = 1 << 17
+
+
+def _chunks(start, stop, size, first):
+    """[lo, hi) ranges covering [start, stop): `first` long, doubling up to `size`."""
+    lo, step = start, min(first, size)
+    while lo < stop:
+        hi = min(lo + step, stop)
+        yield lo, hi
+        lo, step = hi, min(2 * step, size)
+
+
+def _base_q_digits(lo, hi, q, width):
+    """Row r holds the `width` base-q digits of lo + r, lowest first."""
+    t = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((len(t), width), dtype=np.int64)
+    for i in range(width):
+        out[:, i] = t % q
+        t //= q
+    return out
+
+
+def _invert_stack(field, M):
+    """(invertible mask, inverses) of a (k, n, n) stack from one rref of [M | I]."""
+    n = M.shape[-1]
+    eye = np.broadcast_to(identity(field, n).a, M.shape)
+    R, _, pivots = rref_stack(field, np.concatenate([M, eye], axis=2))
+    return pivots[:, :n].all(axis=1), R[:, :, n:]
 
 
 def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats, rng):
     """Kronecker-factor candidates mapping the enumerated code to the fixed one.
 
-    fixed_first = A_1 (invertible), fixed_reduced = (A_1^{-1} A_i)_{i >= 2};
+    fixed_first = A_1 (invertible), fixed_reduced = F = (A_1^{-1} A_i)_{i >= 2};
     for each ordered basis (B_1..B_c) of span(other_mats) with B_1 invertible
-    solve R in Conj(fixed_reduced, (B_1^{-1} B_i)) and set L^t = A_1 R^{-1} B_1^{-1},
+    solve R in Conj(F, G) for G = (B_1^{-1} B_i) and set L^t = A_1 R^{-1} B_1^{-1},
     so that L^t B_i R = A_i.  Returns a list of (L, R, L-kron-R) de-duplicated
     by the Kronecker product (the (mu^{-1} L, mu R) torus cancels there).
+
+    The q^{c^2} coefficient matrices are screened in stacked chunks, in base-q
+    order: a singular one is no basis (conjugation keeps {I, F_2, .., F_c}
+    independent), B_1 must be invertible, and the intertwiner space of (F, G)
+    must be a line, because with C(F) the scalars (the step 3/5 gate) a space
+    of dimension >= 2 holds no invertible element.
     """
     c = len(other_mats)
     q = field.q
-    out = []
-    seen = set()
     total = q ** (c * c)
     if total > _T4_ENUM_CAP:
         return None
+    if not fixed_reduced:
+        # c = 1 never reaches here (the centralizer gate fails first)
+        return []
+    ops = field.ops
+    n = fixed_first.rows
     A1 = fixed_first
-    for rep in range(total):
-        # coefficient matrix of the ordered basis w.r.t. the echelon basis
-        digits = []
-        t = rep
-        for _ in range(c * c):
-            digits.append(t % q)
-            t //= q
-        combo = []
-        for i in range(c):
-            acc = field.ops.zeros(other_mats[0].shape)
-            for j in range(c):
-                d = digits[i * c + j]
-                if d:
-                    acc = field.ops.add(acc, field.ops.mul(other_mats[j].a, d))
-            combo.append(MatGF(field, acc))
-        B1 = combo[0]
-        B1inv, dB1 = inverse_det(B1)
-        if dB1 == 0:
-            continue
-        reduced = [B1inv @ M for M in combo[1:]]
-        # ordered basis requires independence, which conjugacy to the fixed
-        # reduced tuple enforces implicitly; still skip obvious rank drops
-        cc = conj_coset(tuple(fixed_reduced), tuple(reduced), rng) if reduced else None
-        if reduced:
+    flat = np.stack([M.a.reshape(-1) for M in other_mats])
+    # kron(I, F_i^t) - kron(G_i, I) only places entries, so integer products
+    # with the 0/1 identity are exact for every field representation
+    eye = np.eye(n, dtype=np.int64)
+    Ft = np.stack([F.a.T for F in fixed_reduced])
+    kron_F = (eye[:, None, :, None] * Ft[:, None, :, None, :]).reshape(c - 1, n * n, n * n)
+    out = []
+    seen = set()
+    size = max(1, _T4_CHUNK_CELLS // (c * n ** 4))
+    for lo, hi in _chunks(0, total, size, size):
+        coeffs = _base_q_digits(lo, hi, q, c * c).reshape(-1, c, c).astype(ops.dtype)
+        bases = rref_stack(field, coeffs)[1] == c
+        B = ops.matmul(coeffs[bases], flat).reshape(-1, c, n, n)
+        ok, B1inv = _invert_stack(field, B[:, 0])
+        B, B1inv = B[ok], B1inv[ok]
+        G = ops.matmul(B1inv[:, None], B[:, 1:])
+        kron_G = (G[:, :, :, None, :, None] * eye[:, None, :]).reshape(len(G), c - 1, n * n, n * n)
+        system = ops.sub(kron_F[None], kron_G).reshape(len(G), (c - 1) * n * n, n * n)
+        dims = n * n - rref_stack(field, system)[1]
+        for j in np.nonzero(dims == 1)[0]:
+            reduced = tuple(MatGF(field, Gi) for Gi in G[j])
+            cc = conj_coset(tuple(fixed_reduced), reduced, rng)
             if cc.kind != "Conjugate":
                 continue
             R = cc.representative
-        else:
-            # c = 1 never reaches here (the centralizer gate fails first)
-            continue
-        Rinv, dR = inverse_det(R)
-        if dR == 0:
-            raise Singular("conjugacy representative is singular")
-        Lt = A1 @ Rinv @ B1inv
-        L = Lt.T
-        KLR = kron(L, R)
-        key = np.asarray(KLR.a, dtype=np.int64).tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append((L, R, KLR))
+            Rinv, dR = inverse_det(R)
+            if dR == 0:
+                raise Singular("conjugacy representative is singular")
+            Lt = A1 @ Rinv @ MatGF(field, B1inv[j])
+            L = Lt.T
+            KLR = kron(L, R)
+            key = np.asarray(KLR.a, dtype=np.int64).tobytes()
+            if key not in seen:
+                seen.add(key)
+                out.append((L, R, KLR))
     return out
 
 
@@ -450,21 +484,16 @@ def _kernel_code_side(field, kernel_vecs, n, rng):
     c = len(kernel_vecs)
     q = field.q
     mats = [vec_to_matrix(field, v, n) for v in kernel_vecs]
+    flat = np.stack([M.a.reshape(-1) for M in mats])
     first = None
-    for rep in range(1, q ** c):
-        digits = []
-        t = rep
-        for _ in range(c):
-            digits.append(t % q)
-            t //= q
-        acc = field.ops.zeros((n, n))
-        for d, M in zip(digits, mats):
-            if d:
-                acc = field.ops.add(acc, field.ops.mul(M.a, d))
-        X = MatGF(field, acc)
-        Xinv, dX = inverse_det(X)
-        if dX != 0:
-            first = (X, Xinv)
+    # the scan stops at the first hit, so small chunks come first
+    for lo, hi in _chunks(1, q ** c, max(1, _T4_CHUNK_CELLS // (2 * n * n)), 8):
+        coeffs = _base_q_digits(lo, hi, q, c).astype(field.ops.dtype)
+        X = field.ops.matmul(coeffs, flat).reshape(-1, n, n)
+        ok, Xinv = _invert_stack(field, X)
+        if ok.any():
+            i = int(ok.argmax())
+            first = (MatGF(field, X[i].copy()), MatGF(field, Xinv[i].copy()))
             break
     if first is None:
         return None

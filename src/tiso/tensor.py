@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, FieldMismatch, ShapeMismatch, Singular
-from .gf import FieldSpec, field_create, _prime_factors
+from .gf import FieldSpec, field_create, is_prime, _prime_factors
 from .matgf import MatGF, inverse_det, random_invertible, rref
 from . import matgf
 
@@ -251,18 +251,24 @@ def as_rng(seed):
     return np.random.default_rng(seed)
 
 
-def field_from_q(q) -> FieldSpec:
-    """Build a field from an order q = p^m (prime power)."""
-    if isinstance(q, FieldSpec):
-        return q
-    q = int(q)
+def prime_power(q: int):
+    """(p, m) with q = p^m; BadParams when q is not a prime power."""
     if q < 2:
         raise BadParams("field order must be >= 2")
+    if is_prime(q):
+        return q, 1
     fs = _prime_factors(q)
     p = fs[0]
     if any(f != p for f in fs):
         raise BadParams(f"{q} is not a prime power")
-    return field_create(p, len(fs))
+    return p, len(fs)
+
+
+def field_from_q(q) -> FieldSpec:
+    """Build a field from an order q = p^m (prime power)."""
+    if isinstance(q, FieldSpec):
+        return q
+    return field_create(*prime_power(int(q)))
 
 
 def sample_tensor(field: FieldSpec, kind: str, dims, rng) -> Tensor3 | Tensor4:

@@ -11,21 +11,45 @@ stages instead of stopping at the hull gate.
 import numpy as np
 
 from tiso import codes, matgf
-from tiso.matgf import (MatGF, random_matrix, rref_rank_kernel,
-                        trace_of_square, unique_simple_eigenvalue)
+from tiso.matgf import (MatGF, random_matrix, rref, trace_of_square,
+                        unique_simple_eigenvalue)
 from tiso.poly import poly, roots_in_Fq
 
 
-def rand_comb(field, vecs, rng, n) -> MatGF:
-    """Random dense linear combination of flattened kernel vectors.
+class KernelSampler:
+    """Random elements of the right kernel of `rows`, read off one RREF.
 
-    Dense combinations matter: individual canonical kernel basis vectors
-    are sparse and give nearly nilpotent matrices that never pass the
-    spectral gates.
+    The kernel basis vector for free column f is e_f minus R[:, f] at the
+    pivot columns, so the combination with coefficients x (one per free
+    column, in column order) has x at the free coordinates and -R[:, free] x
+    at the pivot coordinates; the basis itself is never formed.
     """
-    K = np.stack(vecs, axis=0)
-    co = rng.integers(0, field.q, size=len(vecs)).astype(K.dtype, copy=False)
-    return MatGF(field, field.ops.matmul(co[None, :], K)[0].reshape(n, n).copy())
+
+    def __init__(self, field, rows):
+        R, self.pivots = rref(field, rows)
+        pivots = set(self.pivots)
+        self.free = [j for j in range(rows.shape[1]) if j not in pivots]
+        self.R_free = R[:len(self.pivots)][:, self.free]
+        self.field = field
+        self.cols = rows.shape[1]
+
+    @property
+    def dim(self):
+        return len(self.free)
+
+    def draw(self, rng, n) -> MatGF:
+        """Random dense kernel element as an n x n matrix.
+
+        Dense combinations matter: individual canonical kernel basis vectors
+        are sparse and give nearly nilpotent matrices that never pass the
+        spectral gates.
+        """
+        ops = self.field.ops
+        co = rng.integers(0, self.field.q, size=self.dim).astype(ops.dtype, copy=False)
+        v = ops.zeros(self.cols)
+        v[self.free] = co
+        v[self.pivots] = ops.neg(ops.matmul(self.R_free, co[:, None])[:, 0])
+        return MatGF(self.field, v.reshape(n, n))
 
 
 def deep_slices(field, n, rng):
@@ -34,14 +58,13 @@ def deep_slices(field, n, rng):
     while True:
         mats = [random_matrix(field, n, n, rng) for _ in range(n - 1)]
         # X must satisfy Tr(X M_i) = 0 for all i: a linear system on vec(X)
-        rows = np.stack([M.a.T.reshape(-1) for M in mats], axis=0)
-        _, right, _ = rref_rank_kernel(MatGF(field, rows))
-        if len(right) != n * n - (n - 1):
+        kernel = KernelSampler(field, np.stack([M.a.T.reshape(-1) for M in mats], axis=0))
+        if kernel.dim != n * n - (n - 1):
             continue
         found = None
         for _ in range(40):
-            V1 = rand_comb(field, right, rng, n)
-            V2 = rand_comb(field, right, rng, n)
+            V1 = kernel.draw(rng, n)
+            V2 = kernel.draw(rng, n)
             # Tr((V1 + c V2)^2) = 0 is a quadratic in c
             a0 = trace_of_square(V1)
             cross = field.add(matgf.trace(V1 @ V2), matgf.trace(V2 @ V1))

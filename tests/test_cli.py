@@ -176,6 +176,23 @@ def test_rmt_mc_reproducible(capsys):
     assert json.loads(out1) == json.loads(out2)
 
 
+@pytest.mark.parametrize("action", [("exact", "alpha", "--n", "3"),
+                                    ("census", "alpha", "--n", "2"),
+                                    ("limits",)])
+def test_rmt_non_prime_power_q_is_usage_error(capsys, action):
+    code, out, err = run(capsys, "rmt", *action, "--q", "6")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "6 is not a prime power" in err
+
+
+def test_rmt_census_too_large_is_usage_error(capsys):
+    code, out, err = run(capsys, "rmt", "census", "sigma", "--n", "6", "--q", "7")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "exceeds" in err
+
+
 def test_rmt_missing_quantity_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rmt", "exact", "--q", "2"])

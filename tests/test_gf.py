@@ -131,6 +131,30 @@ def test_vectorized_ops_match_scalar():
         assert int(ops.neg(x)[i]) == spec.neg(int(x[i]))
 
 
+# one field per FieldOps backend: int64 prime (p = 2 has Fermat exponent 0),
+# object-dtype prime, log tables, and frompyfunc above the table limit
+@pytest.mark.parametrize("spec", [field_create(2), field_create((1 << 20) + 7),
+                                  field_create((1 << 31) - 1), field_create(2, 8),
+                                  field_create(5, 7)], ids=str)
+def test_array_inv_and_stacked_matmul(spec):
+    ops = spec.ops
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, spec.q, size=40).astype(ops.dtype)
+    x[:3] = [0, 1, spec.q - 1]
+    inv = ops.inv(x)
+    assert inv.dtype == ops.dtype and inv.shape == x.shape
+    for a, b in zip(x, inv):
+        assert int(b) == (spec.inv(int(a)) if a else 0)
+    A = rng.integers(0, spec.q, size=(4, 3, 5)).astype(ops.dtype)
+    B = rng.integers(0, spec.q, size=(4, 5, 2)).astype(ops.dtype)
+    C = rng.integers(0, spec.q, size=(5, 2)).astype(ops.dtype)
+    AB, AC = ops.matmul(A, B), ops.matmul(A, C)
+    assert AB.shape == (4, 3, 2) and AC.shape == (4, 3, 2)
+    for i in range(4):
+        assert (AB[i] == ops.matmul(A[i], B[i])).all()
+        assert (AC[i] == ops.matmul(A[i], C)).all()
+
+
 def test_large_prime_field():
     p = (1 << 20) + 7
     spec = field_create(p)

@@ -10,8 +10,8 @@ from tiso.gf import field_create
 from tiso.matgf import (MatGF, charpoly, det, eigen_profile, identity,
                         inverse_det, mat, poly_at_matrix, primary_split_basis,
                         random_invertible, random_matrix, right_kernel, rref,
-                        rref_rank_kernel, solve_linear, trace, trace_of_square,
-                        unique_simple_eigenvalue, zeros)
+                        rref_rank_kernel, rref_stack, solve_linear, trace,
+                        trace_of_square, unique_simple_eigenvalue, zeros)
 from tiso.poly import poly_eval
 
 F5 = field_create(5)
@@ -79,6 +79,34 @@ def test_right_kernel_is_the_right_part_of_rref_rank_kernel(field):
         assert rank + len(left) == r
         for v in right:
             assert not field.ops.matmul(A.a, v[:, None]).any()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_rref_stack_matches_rref_and_inverse_det_slice_by_slice(field):
+    rng = np.random.default_rng(47)
+    n = 5
+    # full-rank, rank-deficient and zero slices, interleaved
+    square = [random_invertible(field, n, rng), _low_rank(field, n, n, 3, rng),
+              zeros(field, n, n), random_matrix(field, n, n, rng),
+              _low_rank(field, n, n, 1, rng)]
+    M = np.stack([S.a for S in square])
+    wide = np.stack([_low_rank(field, 4, 7, k, rng).a if k else zeros(field, 4, 7).a
+                     for k in (4, 2, 0, 3)])
+    for stack in (M, wide, np.concatenate([M, np.broadcast_to(identity(field, n).a, M.shape)],
+                                          axis=2)):
+        R, ranks, pivots = rref_stack(field, stack)
+        assert R.dtype == stack.dtype and pivots.shape == (len(stack), stack.shape[2])
+        for i in range(len(stack)):
+            Ri, piv = rref(field, stack[i])
+            assert (R[i] == Ri).all()
+            assert list(np.nonzero(pivots[i])[0]) == piv and ranks[i] == len(piv)
+    # the right half of rref([M | I]) is the inverse exactly when the left
+    # half is all pivots
+    for i, S in enumerate(square):
+        Sinv, d = inverse_det(S)
+        assert bool(pivots[i, :n].all()) == (d != 0)
+        if d:
+            assert (R[i, :, n:] == Sinv.a).all()
 
 
 @pytest.mark.parametrize("field", [F5, F4, field_create((1 << 31) - 1)], ids=str)

@@ -1,5 +1,6 @@
 """The three six-stage decision pipelines."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,13 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import deep_slices
+from tiso.conj import conj_coset
 from tiso.errors import BadParams, ShapeMismatch
 from tiso.gf import field_create
-from tiso.matgf import random_invertible
-from tiso.solvers import (STAGES, StageTrace, solve, solve_algiso, solve_mcc,
-                          solve_t4)
-from tiso.tensor import (act_algebra, act_code_conj, gen_instance, reassemble,
-                         verify_witness)
+from tiso.matgf import MatGF, inverse_det, random_invertible, rref_rank_kernel
+from tiso.solvers import (STAGES, StageTrace, _kernel_code_side,
+                          _ordered_basis_candidates, solve, solve_algiso,
+                          solve_mcc, solve_t4)
+from tiso.tensor import (act_algebra, act_code_conj, flatten4, gen_instance, kron,
+                         reassemble, vec_to_matrix, verify_witness)
 
 F5 = field_create(5)
 
@@ -134,6 +137,96 @@ def test_t4_planted_corank_success():
             hits += 1
             assert verify_witness("t4", A, B, verdict.witness)
     assert hits >= 5  # empirical success rate well above 0.5
+
+
+def _reference_candidates(field, fixed_first, fixed_reduced, other_mats, rng):
+    """The per-candidate loop that `_ordered_basis_candidates` replaced: one
+    inverse and one conjugacy solve for each of the q^{c^2} coefficient
+    matrices, in the same base-q order."""
+    c = len(other_mats)
+    q = field.q
+    out = []
+    seen = set()
+    A1 = fixed_first
+    for rep in range(q ** (c * c)):
+        digits = []
+        t = rep
+        for _ in range(c * c):
+            digits.append(t % q)
+            t //= q
+        combo = []
+        for i in range(c):
+            acc = field.ops.zeros(other_mats[0].shape)
+            for j in range(c):
+                d = digits[i * c + j]
+                if d:
+                    acc = field.ops.add(acc, field.ops.mul(other_mats[j].a, d))
+            combo.append(MatGF(field, acc))
+        B1inv, dB1 = inverse_det(combo[0])
+        if dB1 == 0:
+            continue
+        reduced = [B1inv @ M for M in combo[1:]]
+        cc = conj_coset(tuple(fixed_reduced), tuple(reduced), rng)
+        if cc.kind != "Conjugate":
+            continue
+        R = cc.representative
+        Rinv, _ = inverse_det(R)
+        L = (A1 @ Rinv @ B1inv).T
+        KLR = kron(L, R)
+        key = np.asarray(KLR.a, dtype=np.int64).tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append((L, R, KLR))
+    return out
+
+
+def _t4_candidate_sides(field, n, c, seeds):
+    """(seed, fixed side, other code's basis) for each kernel-code side of a
+    planted-corank instance that passes the step-3/5 scalar-centralizer gate."""
+    for seed in seeds:
+        A, B, _w = gen_instance("t4", n, field, f"planted_corank({c})", seed)
+        _, rightA, leftA = rref_rank_kernel(flatten4(A))
+        _, rightB, leftB = rref_rank_kernel(flatten4(B))
+        for vecsA, vecsB in ((leftA, leftB), (rightA, rightB)):
+            fixed = _kernel_code_side(field, vecsA, n, None)
+            if fixed is not None and len(vecsA) == len(vecsB) == c:
+                yield seed, fixed, [vec_to_matrix(field, v, n) for v in vecsB]
+
+
+def _candidates_digest(cands):
+    h = hashlib.blake2b(digest_size=8)
+    for triple in cands:
+        for M in triple:
+            h.update(np.asarray(M.a, dtype=np.int64).tobytes())
+    return f"{len(cands)}:{h.hexdigest()}"
+
+
+# c = 2 never reaches the candidate loop at n >= 2: the reduced tuple is one
+# matrix F_2, whose centralizer holds every polynomial in F_2, so step 3 fails
+@pytest.mark.parametrize("field,n,c,seeds", [
+    (field_create(2), 3, 3, range(6)), (field_create(3), 2, 3, range(1))],
+    ids=["GF(2)", "GF(3)"])
+def test_t4_screened_candidates_match_the_per_candidate_loop(field, n, c, seeds):
+    sides = 0
+    for seed, (A1, reduced, _), mats in _t4_candidate_sides(field, n, c, seeds):
+        new = _ordered_basis_candidates(field, A1, reduced, mats,
+                                        np.random.default_rng(seed))
+        ref = _reference_candidates(field, A1, reduced, mats,
+                                    np.random.default_rng(seed))
+        assert len(new) == len(ref)
+        assert all(a == b for x, y in zip(new, ref) for a, b in zip(x, y))
+        sides += 1
+    assert sides >= 2
+
+
+def test_t4_screened_candidates_over_gf4_match_the_recorded_reference():
+    """Over GF(4) the reference loop runs through 4^9 coefficient matrices in
+    about four minutes, so its digest on this side was recorded once."""
+    field = field_create(2, 2)
+    seed, (A1, reduced, _), mats = next(_t4_candidate_sides(field, 2, 3, [1]))
+    new = _ordered_basis_candidates(field, A1, reduced, mats,
+                                    np.random.default_rng(seed))
+    assert _candidates_digest(new) == "180:b2ebf3a4e61d116b"
 
 
 def test_t4_unrelated_never_isomorphic():
