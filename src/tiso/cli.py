@@ -471,7 +471,14 @@ def main(argv=None) -> int:
     if args.command == "rmt" and args.action != "limits" and not args.quantity:
         ap.error("rmt exact/census/mc need a quantity name")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`tiso ... | head`): end quietly, and point
+        # stdout at devnull so the flush at shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (BadParams, NotPrime, ReducibleModulus, ShapeMismatch, TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -207,7 +207,7 @@ def _is_nonderogatory(field: FieldSpec, E: np.ndarray, rng, tries: int = 3) -> b
     n = E.shape[0]
     ops = field.ops
     for _ in range(tries):
-        v = rng.integers(0, field.q, size=n, dtype=np.int64).astype(ops.dtype, copy=False)
+        v = rng.integers(0, field.q, size=n, dtype=np.int64)
         ech = _Echelon(field, n)
         x = v
         while ech.add(x) and ech.rank < n:

@@ -5,8 +5,8 @@ is the coefficient vector (low-to-high) of the residue-class polynomial.
 For prime fields (m = 1) this is just the usual integer residue.
 
 A :class:`FieldSpec` carries the scalar arithmetic; :class:`FieldOps`
-(``spec.ops``) exposes vectorized numpy counterparts used by the dense
-linear-algebra layer.
+(``spec.ops``) exposes vectorized counterparts on int64 numpy arrays, for
+every field, used by the dense linear-algebra layer.
 """
 
 from __future__ import annotations
@@ -386,7 +386,7 @@ def _default_modulus(p: int, m: int):
 
 
 def arith(spec: FieldSpec, a: int, b, op: str) -> int:
-    """Uniform dispatch used by tests and the CLI."""
+    """Scalar arithmetic on canonical reps, dispatched by operation name."""
     spec.check(a)
     if op in ("add", "sub", "mul", "div"):
         spec.check(b)
@@ -426,33 +426,28 @@ def additive_character(spec: FieldSpec, b: int, a: int) -> complex:
 class FieldOps:
     """Vectorized (numpy) arithmetic over a FieldSpec.
 
-    Arrays hold canonical integer reps.  Prime fields use int64 modular
-    arithmetic (object dtype above the overflow threshold); extension fields
-    use log/antilog tables for multiplication and digitwise addition.
+    Arrays hold canonical integer reps as int64 for every field.  Prime fields
+    use int64 modular arithmetic: p < 2^31 keeps every product of two reps
+    below 2^62, and `matmul` splits B into 16-bit limbs once a dot product
+    could overflow.  Extension fields use log/antilog tables (or scalar
+    `FieldSpec.mul` above the table limit) for multiplication and digitwise
+    addition.
     """
+
+    dtype = np.int64
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.p = spec.p
         self.q = spec.q
         self.prime = spec.m == 1
-        # int64 matmul is safe while k*(p-1)^2 < 2^63 for inner dimension k
-        self.big = self.prime and spec.p > (1 << 25)
-        self.dtype = object if self.big else np.int64
         if not self.prime and spec._tables is None:
             self._mul_ufunc = np.frompyfunc(spec.mul, 2, 1)
         else:
             self._mul_ufunc = None
-        if self.big or self._mul_ufunc is not None:
-            self._inv_ufunc = np.frompyfunc(lambda a: spec.inv(a) if a else 0, 1, 1)
-        else:
-            self._inv_ufunc = None
-
-    def asarray(self, x):
-        return np.asarray(x, dtype=self.dtype)
 
     def zeros(self, shape):
-        return np.zeros(shape, dtype=self.dtype)
+        return np.zeros(shape, dtype=np.int64)
 
     def add(self, x, y):
         if self.prime:
@@ -497,37 +492,51 @@ class FieldOps:
         out[mask] = exp[(log[xb[mask]] + log[yb[mask]]) % (self.q - 1)]
         return out
 
+    def sum(self, x, axis=None):
+        """Field sum of the entries of x along axis (all entries by default)."""
+        x = np.asarray(x, dtype=np.int64)
+        if self.prime:
+            # reps are below 2^31, so up to 2^32 of them sum without overflow
+            return x.sum(axis=axis) % self.p
+        out = 0
+        pk = 1
+        for _ in range(self.spec.m):
+            out = out + (x // pk % self.p).sum(axis=axis) % self.p * pk
+            pk *= self.p
+        return out
+
     def scalar_inv(self, a: int) -> int:
         return self.spec.inv(int(a))
 
     def inv(self, x):
-        """Elementwise inverse; zero entries map to zero."""
-        x = np.asarray(x, dtype=self.dtype)
-        if self._inv_ufunc is not None:
-            return self._inv_ufunc(x).astype(self.dtype)
-        if self.prime:
-            # Fermat, x^(p-2) by squaring; products stay below 2^50
-            out = np.ones_like(x)
-            base, e = x, self.p - 2
-            while e:
-                if e & 1:
-                    out = out * base % self.p
-                base = base * base % self.p
-                e >>= 1
-            return out * (x != 0)
-        log, exp = self.spec._tables
-        out = np.zeros_like(x)
-        mask = x != 0
-        out[mask] = exp[(-log[x[mask]]) % (self.q - 1)]
-        return out
+        """Elementwise inverse x^(q-2) by square-and-multiply; zero maps to zero."""
+        x = np.asarray(x, dtype=np.int64)
+        out = np.ones_like(x)
+        base, e = x, self.q - 2
+        while e:
+            if e & 1:
+                out = self.mul(out, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return out * (x != 0)
 
     def matmul(self, A, B):
         """A @ B; leading axes of either operand are stack axes, as in numpy."""
         if self.prime:
+            p = self.p
             k = A.shape[-1]
-            if not self.big and k * (self.p - 1) ** 2 < (1 << 62):
-                return (A @ B) % self.p
-            return (A.astype(object) @ B.astype(object)) % self.p
+            if k * (p - 1) ** 2 < (1 << 62):
+                return (A @ B) % p
+            # split B into 16-bit limbs and the inner dimension into chunks of
+            # 2^15: a chunk's dot with either limb stays below 2^62, and with
+            # the reduced high part shifted back and the running sum, below 2^63
+            out = 0
+            for i in range(0, k, 1 << 15):
+                a, b = A[..., i:i + (1 << 15)], B[..., i:i + (1 << 15), :]
+                hi = (a @ (b >> 16)) % p
+                out = (out + (hi << 16) + a @ (b & 0xFFFF)) % p
+            return out
         # extension field: accumulate rank-1 outer products with field ops
         A = np.asarray(A)
         B = np.asarray(B)

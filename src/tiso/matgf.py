@@ -1,9 +1,8 @@
 """Dense linear algebra over F_q.
 
-Matrices wrap numpy arrays of canonical field reps.  Prime fields run on
-vectorized int64 modular arithmetic (object dtype above the overflow
-threshold); extension fields go through the table-driven ops in
-:mod:`tiso.gf`.  Everything here is exact.
+Matrices wrap int64 numpy arrays of canonical field reps, and every
+arithmetic step on them goes through the field's vectorized
+:class:`tiso.gf.FieldOps`, so everything here is exact for every field.
 `right_kernel` takes one elimination (`rref_rank_kernel` adds the left
 kernel), and `solve_linear` reads the solutions for many right-hand sides and
 the kernel off one elimination of [A | b].
@@ -283,58 +282,30 @@ def charpoly(A: MatGF) -> Poly:
         raise ShapeMismatch("charpoly of non-square matrix")
     if n == 0:
         return poly(field, [1])
-    H = _hessenberg(field, A.a)
-    if field.m == 1:
-        return _charpoly_hessenberg_prime(field, H)
-    return _charpoly_hessenberg_generic(field, H)
+    return _charpoly_hessenberg(field, _hessenberg(field, A.a))
 
 
-def _charpoly_hessenberg_prime(field: FieldSpec, H: np.ndarray) -> Poly:
-    p = field.p
+def _charpoly_hessenberg(field: FieldSpec, H: np.ndarray) -> Poly:
+    """det(tI - H) for upper Hessenberg H, by the recurrence over the
+    characteristic polynomials p_k of its leading k x k blocks."""
+    ops = field.ops
     n = H.shape[0]
-    dtype = H.dtype
-    P = np.zeros((n + 1, n + 1), dtype=dtype)
+    P = ops.zeros((n + 1, n + 1))
     P[0, 0] = 1
-    sub = np.zeros(n + 1, dtype=dtype)  # sub[i] = prod of subdiagonal h_{j,j-1}, j=i+1..k
+    sub = ops.zeros(n + 1)  # sub[i] = prod of subdiagonal h_{j,j-1}, j=i+1..k
     for k in range(1, n + 1):
-        pk = np.zeros(n + 1, dtype=dtype)
+        pk = ops.zeros(n + 1)
         pk[1:] = P[k - 1, :-1]  # t * p_{k-1}
-        pk = (pk - H[k - 1, k - 1] * P[k - 1]) % p
+        pk = ops.sub(pk, ops.mul(H[k - 1, k - 1], P[k - 1]))
         if k > 1:
             s = H[k - 1, k - 2]
-            sub[1:k - 1] = sub[1:k - 1] * s % p
+            sub[1:k - 1] = ops.mul(sub[1:k - 1], s)
             sub[k - 1] = s
-            w = H[0:k - 1, k - 1] * sub[1:k] % p
+            w = ops.mul(H[0:k - 1, k - 1], sub[1:k])
             if w.any():
-                pk = (pk - w @ P[0:k - 1]) % p
+                pk = ops.sub(pk, ops.matmul(w[None, :], P[0:k - 1])[0])
         P[k] = pk
     return poly(field, [int(c) for c in P[n]])
-
-
-def _charpoly_hessenberg_generic(field: FieldSpec, H: np.ndarray) -> Poly:
-    n = H.shape[0]
-    ps = [poly(field, [1])]
-    for k in range(1, n + 1):
-        prev = ps[k - 1]
-        coeffs = [0] + list(prev.coeffs)
-        pk = poly(field, coeffs)
-        pk = _poly_axpy(pk, field.neg(int(H[k - 1, k - 1])), prev)
-        prod = 1
-        for i in range(k - 1, 0, -1):
-            prod = field.mul(prod, int(H[i, i - 1]))
-            w = field.mul(int(H[i - 1, k - 1]), prod)
-            if w:
-                pk = _poly_axpy(pk, field.neg(w), ps[i - 1])
-        ps.append(pk)
-    return ps[n]
-
-
-def _poly_axpy(f: Poly, c: int, g: Poly) -> Poly:
-    F = f.field
-    out = list(f.coeffs) + [0] * max(0, len(g.coeffs) - len(f.coeffs))
-    for i, b in enumerate(g.coeffs):
-        out[i] = F.add(out[i], F.mul(c, b))
-    return poly(F, out)
 
 
 def poly_at_matrix(f: Poly, A: MatGF) -> MatGF:
@@ -417,18 +388,15 @@ def primary_split_basis(A: MatGF, lam: int, rng=None) -> MatGF:
 
 def trace_of_square(A: MatGF) -> int:
     """Tr(A^2) = sum_ij A(i,j) A(j,i), computed without forming A^2."""
-    field = A.field
     if A.rows != A.cols:
         raise ShapeMismatch("trace_of_square of non-square matrix")
-    prod = field.ops.mul(A.a, A.a.T)
-    if field.m == 1:
-        return int(prod.sum() % field.p)
-    total = 0
-    pk = 1
-    for _ in range(field.m):
-        total += int((prod // pk % field.p).sum() % field.p) * pk
-        pk *= field.p
-    return total
+    return int(trace_of_square_stack(A.field, A.a))
+
+
+def trace_of_square_stack(field: FieldSpec, D: np.ndarray):
+    """Tr(A^2) of every square matrix A on the last two axes of D."""
+    ops = field.ops
+    return ops.sum(ops.mul(D, np.swapaxes(D, -1, -2)), axis=(-2, -1))
 
 
 def trace(A: MatGF) -> int:
@@ -443,8 +411,7 @@ def trace(A: MatGF) -> int:
 
 
 def random_matrix(spec: FieldSpec, rows: int, cols: int, rng) -> MatGF:
-    a = rng.integers(0, spec.q, size=(rows, cols), dtype=np.int64)
-    return MatGF(spec, a.astype(spec.ops.dtype, copy=False))
+    return MatGF(spec, rng.integers(0, spec.q, size=(rows, cols), dtype=np.int64))
 
 
 def random_invertible(spec: FieldSpec, n: int, rng) -> MatGF:

@@ -3,7 +3,9 @@
 Coefficients are canonical field reps, low-to-high, trailing zeros stripped.
 Root finding isolates the linear-factor part via gcd(f, t^q - t) and then
 either evaluates exhaustively (q <= 2^12) or applies randomized equal-degree
-splitting (odd q: quadratic-residue split; even q: trace-map split).
+splitting by quadratic residues.  That split needs odd q, which always holds
+there: `gf.field_create` caps the extension degree at 8, so every field of
+characteristic 2 has q <= 2^8 and takes the exhaustive path.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def linear_factor_part(f: Poly) -> Poly:
 
 
 def _split_equal_degree(g: Poly, rng) -> list:
-    """Split a monic product of distinct linear factors into its roots."""
+    """Split a monic product of distinct linear factors over odd q into its roots."""
     F = g.field
     if g.degree == 0:
         return []
@@ -157,16 +159,7 @@ def _split_equal_degree(g: Poly, rng) -> list:
         c1 = int(rng.integers(1, F.q))
         c0 = int(rng.integers(0, F.q))
         a = poly(F, [c0, c1])
-        if F.p != 2:
-            h = powmod(a, (F.q - 1) // 2, g)
-            h = poly_sub(h, poly(F, [1]))
-        else:
-            e = F.m  # q = 2^m
-            h = poly(F, [])
-            term = poly_divmod(a, g)[1]
-            for _ in range(e):
-                h = poly_add(h, term)
-                term = poly_divmod(poly_mul(term, term), g)[1]
+        h = poly_sub(powmod(a, (F.q - 1) // 2, g), poly(F, [1]))
         d = poly_gcd(h, g)
         if 0 < d.degree < g.degree:
             rest = poly_divmod(g, d)[0]

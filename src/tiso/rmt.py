@@ -30,7 +30,7 @@ from .conj import generates_full_algebra
 from .errors import BadParams, InvariantViolation, NonIntegralCount, TooLarge
 from .gf import FieldSpec, additive_character
 from .matgf import (MatGF, charpoly, random_matrix, rref, trace_of_square,
-                    unique_simple_eigenvalue)
+                    trace_of_square_stack, unique_simple_eigenvalue)
 from .poly import Poly, poly, poly_divmod, poly_eval, poly_mul, roots_in_Fq
 from .tensor import as_rng, field_from_q
 
@@ -376,7 +376,7 @@ def sigma_census(n: int, q: int) -> Fraction:
     count = 0
     total = q ** (n * n)
     for D in _census_chunks(q, n):
-        tr2 = _batch_tr2(field, D)
+        tr2 = trace_of_square_stack(field, D)
         count += int((tr2 == 0).sum())
     return Fraction(count, total)
 
@@ -637,20 +637,6 @@ def _census_chunks(q: int, n: int, chunk: int = 1 << 18):
         yield digits.reshape(-1, n, n)
 
 
-def _batch_tr2(field: FieldSpec, D: np.ndarray) -> np.ndarray:
-    """Tr(A^2) for a batch of matrices given as (B, n, n) rep arrays."""
-    if field.m == 1:
-        return (D * np.swapaxes(D, 1, 2)).sum(axis=(1, 2)) % field.p
-    ops = field.ops
-    prod = ops.mul(D.astype(ops.dtype), np.swapaxes(D, 1, 2).astype(ops.dtype))
-    acc = np.zeros(D.shape[0], dtype=ops.dtype)
-    n = D.shape[1]
-    for i in range(n):
-        for j in range(n):
-            acc = ops.add(acc, prod[:, i, j])
-    return acc
-
-
 def _batch_det(M: np.ndarray, p: int) -> np.ndarray:
     """Determinants mod p of a (B, k, k) batch, k <= 4, cofactor expansion."""
     k = M.shape[1]
@@ -720,7 +706,7 @@ def _census_fast(field: FieldSpec, n: int, counts: dict):
             shifted = coeffs @ _shift_matrix(p, n, lam) % p
             # multiplicity of root lam = order of vanishing at 0 after shift
             mults[:, lam] = np.argmax(shifted != 0, axis=1)
-        tr2 = _batch_tr2(field, D)
+        tr2 = trace_of_square_stack(field, D)
         rows = np.concatenate([mults, tr2[:, None]], axis=1)
         uniq, cnt = np.unique(rows, axis=0, return_counts=True)
         for row, c in zip(uniq, cnt):
@@ -730,10 +716,9 @@ def _census_fast(field: FieldSpec, n: int, counts: dict):
 
 
 def _census_slow(field: FieldSpec, n: int, counts: dict):
-    ops = field.ops
     for D in _census_chunks(field.q, n, chunk=1 << 14):
         for i in range(D.shape[0]):
-            A = MatGF(field, D[i].astype(ops.dtype))
+            A = MatGF(field, D[i])
             sig = tuple(roots_in_Fq(charpoly(A)))
             key = (sig, trace_of_square(A))
             counts[key] = counts.get(key, 0) + 1

@@ -446,7 +446,7 @@ def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats, rng
     seen = set()
     size = max(1, _T4_CHUNK_CELLS // (c * n ** 4))
     for lo, hi in _chunks(0, total, size, size):
-        coeffs = _base_q_digits(lo, hi, q, c * c).reshape(-1, c, c).astype(ops.dtype)
+        coeffs = _base_q_digits(lo, hi, q, c * c).reshape(-1, c, c)
         bases = rref_stack(field, coeffs)[1] == c
         B = ops.matmul(coeffs[bases], flat).reshape(-1, c, n, n)
         ok, B1inv = _invert_stack(field, B[:, 0])
@@ -488,7 +488,7 @@ def _kernel_code_side(field, kernel_vecs, n, rng):
     first = None
     # the scan stops at the first hit, so small chunks come first
     for lo, hi in _chunks(1, q ** c, max(1, _T4_CHUNK_CELLS // (2 * n * n)), 8):
-        coeffs = _base_q_digits(lo, hi, q, c).astype(field.ops.dtype)
+        coeffs = _base_q_digits(lo, hi, q, c)
         X = field.ops.matmul(coeffs, flat).reshape(-1, n, n)
         ok, Xinv = _invert_stack(field, X)
         if ok.any():

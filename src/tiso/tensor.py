@@ -187,9 +187,7 @@ def kron(P: MatGF, Q: MatGF) -> MatGF:
     field = P.field
     pa, qa = P.a, Q.a
     prod = field.ops.mul(pa[:, None, :, None], qa[None, :, None, :])
-    out = np.asarray(prod, dtype=field.ops.dtype).reshape(
-        pa.shape[0] * qa.shape[0], pa.shape[1] * qa.shape[1])
-    return MatGF(field, out)
+    return MatGF(field, prod.reshape(pa.shape[0] * qa.shape[0], pa.shape[1] * qa.shape[1]))
 
 
 def vec_to_matrix(field: FieldSpec, v: np.ndarray, n: int) -> MatGF:
@@ -274,7 +272,6 @@ def field_from_q(q) -> FieldSpec:
 def sample_tensor(field: FieldSpec, kind: str, dims, rng) -> Tensor3 | Tensor4:
     rng = as_rng(rng)
     a = rng.integers(0, field.q, size=tuple(dims), dtype=np.int64)
-    a = a.astype(field.ops.dtype, copy=False)
     if kind == "t3":
         if len(dims) != 3:
             raise BadParams("t3 takes three dims")

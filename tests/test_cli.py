@@ -1,6 +1,9 @@
 """Command-line front end: round trips, exit codes, determinism, reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -204,3 +207,19 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == EXIT_OK
     assert "checks passed" in out
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader of the pipe is gone before anything is written, as after `| head`
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tiso.cli", "rmt", "exact", "alpha",
+                               "--n", "3", "--q", "5"], stdout=w, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == b""

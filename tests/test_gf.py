@@ -131,8 +131,8 @@ def test_vectorized_ops_match_scalar():
         assert int(ops.neg(x)[i]) == spec.neg(int(x[i]))
 
 
-# one field per FieldOps backend: int64 prime (p = 2 has Fermat exponent 0),
-# object-dtype prime, log tables, and frompyfunc above the table limit
+# p = 2 (inverse exponent 0), primes below 2^25 and near 2^31, and both
+# extension-field multiplications: log tables and scalar products above them
 @pytest.mark.parametrize("spec", [field_create(2), field_create((1 << 20) + 7),
                                   field_create((1 << 31) - 1), field_create(2, 8),
                                   field_create(5, 7)], ids=str)
@@ -162,3 +162,56 @@ def test_large_prime_field():
     assert spec.mul(a, spec.inv(a)) == 1
     assert spec.add(a, spec.neg(a)) == 0
     assert spec.mul(a, b) == a * b % p
+
+
+# both sides of 2^25 (where a 4096-term dot product stops fitting in 2^62),
+# the largest prime, and extension fields with and without log tables
+PROPERTY_FIELDS = [field_create(33554393), field_create(33554467),
+                   field_create((1 << 31) - 1), field_create(2, 8),
+                   field_create(3, 5), field_create(5, 7)]
+
+
+def _dot(spec, row, col):
+    acc = 0
+    for a, b in zip(row, col):
+        acc = spec.add(acc, spec.mul(a, b))
+    return acc
+
+
+@pytest.mark.parametrize("spec", PROPERTY_FIELDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_field_ops_match_scalar_arithmetic(spec, data):
+    ops = spec.ops
+    assert ops.dtype is np.int64
+    elems = st.one_of(st.sampled_from([0, 1, spec.q - 1]), st.integers(0, spec.q - 1))
+    xs = data.draw(st.lists(elems, min_size=1, max_size=10))
+    ys = data.draw(st.lists(elems, min_size=len(xs), max_size=len(xs)))
+    x, y = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    for op in ("add", "sub", "mul"):
+        got = getattr(ops, op)(x, y)
+        assert got.dtype == np.int64
+        assert got.tolist() == [getattr(spec, op)(a, b) for a, b in zip(xs, ys)]
+    assert ops.neg(x).tolist() == [spec.neg(a) for a in xs]
+    assert ops.inv(x).tolist() == [spec.inv(a) if a else 0 for a in xs]
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    A = [data.draw(st.lists(elems, min_size=k, max_size=k)) for _ in range(r)]
+    B = [data.draw(st.lists(elems, min_size=c, max_size=c)) for _ in range(k)]
+    got = ops.matmul(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [[_dot(spec, row, col) for col in zip(*B)] for row in A]
+
+
+@pytest.mark.parametrize("p, k", [(33554393, 4096), (33554393, 4097), ((1 << 31) - 1, 2),
+                                  ((1 << 31) - 1, 3), ((1 << 31) - 1, (1 << 15) + 1)])
+def test_prime_matmul_exact_at_the_overflow_limit(p, k):
+    ops = field_create(p).ops
+    # all-(p-1) operands give the largest partial sums, k (p-1)^2
+    A = np.full((2, 2, k), p - 1, dtype=np.int64)
+    B = np.full((k, 3), p - 1, dtype=np.int64)
+    assert (ops.matmul(A, B) == k * (p - 1) ** 2 % p).all()
+    rng = np.random.default_rng(k)
+    A = rng.integers(p - (1 << 12), p, size=(2, k))
+    B = rng.integers(0, p, size=(k, 2))
+    ref = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in B.T] for row in A]
+    assert ops.matmul(A, B).tolist() == ref

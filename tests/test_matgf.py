@@ -170,6 +170,16 @@ def test_charpoly_matches_determinant_evaluation():
             for lam in field.elements():
                 shifted = identity(field, n).scale(lam) - A
                 assert poly_eval(cp, lam) == det(shifted)
+    # just above 2^25, and near 2^31, where a raw int64 dot in the recurrence
+    # overflows
+    for field in (field_create(33554467), field_create((1 << 31) - 1)):
+        for n in (2, 5, 8, 12):
+            A = random_matrix(field, n, n, rng)
+            cp = charpoly(A)
+            assert cp.degree == n and cp.coeffs[-1] == 1
+            for lam in [0, 1, field.q - 1] + rng.integers(0, field.q, size=3).tolist():
+                shifted = identity(field, n).scale(lam) - A
+                assert poly_eval(cp, lam) == det(shifted)
 
 
 def test_cayley_hamilton():
