@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import rmt
-from .errors import (BadParams, NotPrime, ReducibleModulus, ShapeMismatch,
-                     TisoError, TooLarge)
+from .errors import (BadParams, DegreeMismatch, NotPrime, ReducibleModulus,
+                     ShapeMismatch, TisoError, TooLarge)
 from .gf import field_create
 from .solvers import STAGES, solve
 from .tensor import (PROBLEMS, gen_instance, instance_from_json,
@@ -56,6 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise BadParams("trials must be >= 1")
+        if self.jobs < 1:
+            raise BadParams("jobs must be >= 1")
         if self.problem not in PROBLEMS:
             raise BadParams(f"unknown problem {self.problem!r}")
 
@@ -70,21 +72,17 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def _field_from_args(args):
-    modulus = None
-    if getattr(args, "modulus", None):
-        try:
-            modulus = tuple(int(x) for x in args.modulus.split(","))
-        except ValueError as e:
-            raise BadParams(f"bad --modulus: {e}") from None
-    return field_create(args.p, getattr(args, "m", 1) or 1, modulus)
-
-
-def _default_jobs() -> int:
+def _modulus_from_args(args):
+    if not getattr(args, "modulus", None):
+        return None
     try:
-        return max(1, int(os.environ.get("TISO_JOBS", "1")))
-    except ValueError:
-        return 1
+        return tuple(int(x) for x in args.modulus.split(","))
+    except ValueError as e:
+        raise BadParams(f"bad --modulus: {e}") from None
+
+
+def _field_from_args(args):
+    return field_create(args.p, getattr(args, "m", 1) or 1, _modulus_from_args(args))
 
 
 def _emit(text: str, out_path: str | None):
@@ -254,9 +252,9 @@ def _experiment_csv(report: dict) -> str:
 def cmd_experiment(args) -> int:
     config = ExperimentConfig(
         problem=args.problem, n=args.n, p=args.p, m=args.m or 1,
-        modulus=tuple(int(x) for x in args.modulus.split(",")) if args.modulus else None,
+        modulus=_modulus_from_args(args),
         trials=args.trials, master_seed=args.seed, mode=args.mode,
-        out=args.out, jobs=args.jobs if args.jobs else _default_jobs())
+        out=args.out, jobs=args.jobs)
     report = run_experiment(config)
     text = (_experiment_csv(report) if args.format == "csv"
             else _json_dumps(report))
@@ -442,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mode", default="planted")
     e.add_argument("--trials", type=int, default=100)
     e.add_argument("--seed", type=int, default=0, help="master seed")
-    e.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: env TISO_JOBS or 1)")
+    e.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, >= 1 (default: 1)")
     e.add_argument("--out", default=None)
     e.add_argument("--format", choices=("json", "csv"), default="json")
     e.set_defaults(func=cmd_experiment)
@@ -479,7 +477,8 @@ def main(argv=None) -> int:
         # stdout at devnull so the flush at shutdown does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (BadParams, NotPrime, ReducibleModulus, ShapeMismatch, TooLarge) as e:
+    except (BadParams, DegreeMismatch, NotPrime, ReducibleModulus, ShapeMismatch,
+            TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TisoError as e:

@@ -174,7 +174,7 @@ def conj_with_seed(Atuple, Btuple, w, z):
     return T, True
 
 
-def centralizer_is_scalars(Atuple, rng=None, full_system_max_n=FULL_SYSTEM_MAX_N):
+def centralizer_is_scalars(Atuple, rng=None):
     """Whether {X : X A_i = A_i X for all i} is exactly the scalar matrices.
 
     Fast path: find a nonderogatory element E among the tuple members and a
@@ -197,7 +197,7 @@ def centralizer_is_scalars(Atuple, rng=None, full_system_max_n=FULL_SYSTEM_MAX_N
     for E in candidates:
         if _is_nonderogatory(field, E, rng):
             return _scalars_only_given_cyclic(field, E, Atuple)
-    if n <= full_system_max_n:
+    if n <= FULL_SYSTEM_MAX_N:
         return len(intertwiner_space(Atuple, Atuple)) == 1
     return None
 

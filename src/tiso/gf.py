@@ -6,13 +6,15 @@ For prime fields (m = 1) this is just the usual integer residue.
 
 A :class:`FieldSpec` carries the scalar arithmetic; :class:`FieldOps`
 (``spec.ops``) exposes vectorized counterparts on int64 numpy arrays, for
-every field, used by the dense linear-algebra layer.
+every field, used by the dense linear-algebra layer.  `field_create` checks
+a modulus with :mod:`tiso.poly` over the prime field F_p.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from functools import cached_property
 
@@ -27,6 +29,7 @@ from .errors import (
     NotPrime,
     ReducibleModulus,
 )
+from .poly import Poly, poly, poly_divmod, poly_eval, poly_gcd, poly_sub, powmod
 
 _MAX_P = 1 << 31
 _MAX_Q = 1 << 62
@@ -57,92 +60,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# small helpers: polynomial arithmetic over the prime field F_p, used only for
-# modulus validation / construction.  Coefficient lists are low-to-high.
-
-
-def _pp_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pp_trim(out)
-
-
-def _pp_divmod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    q = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv_lead % p
-        k = len(f) - 1 - dg
-        q[k] = c
-        for j, b in enumerate(g):
-            f[k + j] = (f[k + j] - c * b) % p
-        _pp_trim(f)
-    return q, f
-
-
-def _pp_mulmod(f, g, mod, p):
-    return _pp_divmod(_pp_mul(f, g, p), mod, p)[1]
-
-
-def _pp_powmod(f, e, mod, p):
-    acc = [1]
-    base = _pp_divmod(f, mod, p)[1]
-    while e:
-        if e & 1:
-            acc = _pp_mulmod(acc, base, mod, p)
-        base = _pp_mulmod(base, base, mod, p)
-        e >>= 1
-    return acc
-
-
-def _pp_sub(f, g, p):
-    n = max(len(f), len(g))
-    out = [((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
-           for i in range(n)]
-    return _pp_trim(out)
-
-
-def _pp_gcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _pp_divmod(f, g, p)[1]
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = [c * inv % p for c in f]
-    return f
-
-
-def _is_irreducible(f, p: int) -> bool:
-    """Rabin irreducibility test for monic f of degree m over F_p."""
-    m = len(f) - 1
-    if m < 1:
-        return False
-    x = [0, 1]
-    # x^(p^m) == x mod f
-    xp = _pp_powmod(x, p ** m, f, p)
-    if _pp_sub(xp, x, p):
-        return False
-    for ell in set(_prime_factors(m)):
-        xpe = _pp_powmod(x, p ** (m // ell), f, p)
-        if len(_pp_gcd(_pp_sub(xpe, x, p), f, p)) > 1:
-            return False
-    return True
-
-
 def _prime_factors(n: int):
     out = []
     d = 2
@@ -156,18 +73,29 @@ def _prime_factors(n: int):
     return out
 
 
-def _exhaustive_irreducible_check(f, p: int) -> bool:
+def _is_irreducible(f: Poly) -> bool:
+    """Rabin irreducibility test for a monic f of degree m over F_p."""
+    m = f.degree
+    if m < 1:
+        return False
+    p = f.field.p
+    x = poly(f.field, [0, 1])
+    # x^(p^m) == x mod f
+    if not poly_sub(powmod(x, p ** m, f), x).is_zero():
+        return False
+    for ell in set(_prime_factors(m)):
+        if poly_gcd(poly_sub(powmod(x, p ** (m // ell), f), x), f).degree > 0:
+            return False
+    return True
+
+
+def _exhaustive_irreducible_check(f: Poly) -> bool:
     """Trial division by every lower-degree monic polynomial (tiny fields)."""
-    m = len(f) - 1
-    for d in range(1, m // 2 + 1):
+    p = f.field.p
+    for d in range(1, f.degree // 2 + 1):
         for idx in range(p ** d):
-            g = []
-            t = idx
-            for _ in range(d):
-                g.append(t % p)
-                t //= p
-            g.append(1)
-            if not _pp_divmod(f, g, p)[1]:
+            g = poly(f.field, [idx // p ** i % p for i in range(d)] + [1])
+            if poly_divmod(f, g)[1].is_zero():
                 return False
     return True
 
@@ -256,9 +184,21 @@ class FieldSpec:
         return self._mul_slow(a, b)
 
     def _mul_slow(self, a: int, b: int) -> int:
-        prod = _pp_mul(self.digits(a), self.digits(b), self.p)
-        rem = _pp_divmod(prod, list(self.modulus), self.p)[1]
-        return self.from_digits(rem + [0] * (self.m - len(rem)))
+        """Digit-polynomial product of a and b, reduced by the monic modulus."""
+        p, m, mod = self.p, self.m, self.modulus
+        db = self.digits(b)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(self.digits(a)):
+            if x:
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
+        # t^k = t^(k-m) * (t^m - f) mod f; the t^k term itself is dropped
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k] % p
+            if c:
+                for j in range(m):
+                    prod[k - m + j] -= c * mod[j]
+        return self.from_digits(prod[:m])
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -357,31 +297,31 @@ def field_create(p: int, m: int = 1, modulus=None) -> FieldSpec:
         return FieldSpec(p, 1, ())
     if modulus is None:
         modulus = _default_modulus(p, m)
-    modulus = tuple(int(c) % p for c in modulus)
+    try:
+        # operator.index refuses 3.5 or "3" rather than truncating or parsing it
+        modulus = tuple(operator.index(c) for c in modulus)
+    except TypeError:
+        raise BadParams(f"modulus coefficients must be integers, got {list(modulus)}") from None
+    if not all(0 <= c < p for c in modulus):
+        raise BadParams(f"modulus coefficients must lie in [0, {p}), got {list(modulus)}")
     if len(modulus) != m + 1 or modulus[-1] != 1:
         raise DegreeMismatch(f"modulus must be monic of degree {m}")
-    f = list(modulus)
-    if any(_pp_eval(f, a, p) == 0 for a in range(min(p, 1 << 12))):
+    f = poly(FieldSpec(p, 1, ()), modulus)
+    if any(poly_eval(f, a) == 0 for a in range(min(p, 1 << 12))):
         raise ReducibleModulus("modulus has a root in F_p")
-    if not _is_irreducible(f, p):
+    if not _is_irreducible(f):
         raise ReducibleModulus("modulus is reducible")
-    if m <= 4 and p ** m <= (1 << 12) and not _exhaustive_irreducible_check(f, p):
+    if m <= 4 and p ** m <= (1 << 12) and not _exhaustive_irreducible_check(f):
         raise ReducibleModulus("modulus failed exhaustive factor search")
     return FieldSpec(p, m, modulus)
 
 
-def _pp_eval(f, a, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * a + c) % p
-    return acc
-
-
 def _default_modulus(p: int, m: int):
     rng = random.Random(f"tiso-modulus-{p}-{m}")
+    field = FieldSpec(p, 1, ())
     while True:
         f = [rng.randrange(p) for _ in range(m)] + [1]
-        if _is_irreducible(f, p):
+        if _is_irreducible(poly(field, f)):
             return f
 
 

@@ -3,9 +3,11 @@
 Matrices wrap int64 numpy arrays of canonical field reps, and every
 arithmetic step on them goes through the field's vectorized
 :class:`tiso.gf.FieldOps`, so everything here is exact for every field.
-`right_kernel` takes one elimination (`rref_rank_kernel` adds the left
-kernel), and `solve_linear` reads the solutions for many right-hand sides and
-the kernel off one elimination of [A | b].
+`rref`, `det`, `inverse_det` and `solve_linear` share one elimination loop;
+`rref_stack` runs it over a stack of matrices at once.  `right_kernel` takes
+one elimination (`rref_rank_kernel` adds the left kernel), and `solve_linear`
+reads the solutions for many right-hand sides and the kernel off one
+elimination of [A | b].
 """
 
 from __future__ import annotations
@@ -95,20 +97,26 @@ def identity(field: FieldSpec, n: int) -> MatGF:
 # elimination
 
 
-def rref(field: FieldSpec, M: np.ndarray, pivot_cols_limit=None):
-    """Reduced row-echelon form of M (a raw rep array).
+def rref(field: FieldSpec, M: np.ndarray):
+    """Reduced row-echelon form of M (a raw rep array): (R, pivot_cols)."""
+    R, pivots, _ = _eliminate(field, M)
+    return R, pivots
 
-    Returns (R, pivot_cols).  Row operations span the full width, pivots are
-    searched only in the first `pivot_cols_limit` columns (for augmented
-    systems).
+
+def _eliminate(field: FieldSpec, M: np.ndarray):
+    """(R, pivot_cols, d): `rref` and the signed product of the pivots.
+
+    d is the sign of the row swaps times the product of the pivots, taken
+    before each is scaled to 1, so it is det(M[:, :rows]) when the pivots
+    are exactly the first `rows` columns.
     """
     ops = field.ops
     R = np.array(M, dtype=ops.dtype, copy=True)
     rows, cols = R.shape
-    limit = cols if pivot_cols_limit is None else pivot_cols_limit
     pivots = []
+    d = 1
     r = 0
-    for c in range(limit):
+    for c in range(cols):
         if r == rows:
             break
         nz = np.nonzero(R[r:, c])[0]
@@ -117,15 +125,17 @@ def rref(field: FieldSpec, M: np.ndarray, pivot_cols_limit=None):
         pr = r + int(nz[0])
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
-        inv = ops.scalar_inv(R[r, c])
-        R[r] = ops.mul(R[r], inv)
+            d = field.neg(d)
+        piv = int(R[r, c])
+        d = field.mul(d, piv)
+        R[r] = ops.mul(R[r], ops.scalar_inv(piv))
         other = np.nonzero(R[:, c])[0]
         other = other[other != r]
         if len(other):
             R[other] = ops.sub(R[other], ops.mul(R[other, c][:, None], R[r][None, :]))
         pivots.append(c)
         r += 1
-    return R, pivots
+    return R, pivots, d
 
 
 def rref_stack(field: FieldSpec, M: np.ndarray):
@@ -208,9 +218,9 @@ def solve_linear(A: MatGF, b: np.ndarray, side: str = "right"):
     if b.ndim not in (1, 2) or b.shape[0] != A.rows:
         raise ShapeMismatch("rhs length mismatch")
     rhs = b.reshape(A.rows, -1).astype(A.a.dtype, copy=False)
-    R, pivots = rref(field, np.concatenate([A.a, rhs], axis=1), pivot_cols_limit=A.cols)
-    # the left block is rref(A); a nonzero rhs entry below its pivots is inconsistent
-    if R[len(pivots):, A.cols:].any():
+    R, pivots = rref(field, np.concatenate([A.a, rhs], axis=1))
+    # a pivot in the rhs columns is a row 0 = nonzero: inconsistent
+    if pivots and pivots[-1] >= A.cols:
         return None
     x = field.ops.zeros((A.cols, rhs.shape[1]))
     x[pivots] = R[:len(pivots), A.cols:]
@@ -218,34 +228,22 @@ def solve_linear(A: MatGF, b: np.ndarray, side: str = "right"):
 
 
 def inverse_det(A: MatGF):
-    """(inverse or None, determinant)."""
-    field = A.field
-    ops = field.ops
+    """(inverse or None, determinant) from one elimination of [A | I]."""
     n = A.rows
     if n != A.cols:
         raise ShapeMismatch("inverse of non-square matrix")
-    R = np.concatenate([A.a, identity(field, n).a], axis=1).astype(ops.dtype)
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(R[c:, c])[0]
-        if len(nz) == 0:
-            return None, 0
-        pr = c + int(nz[0])
-        if pr != c:
-            R[[c, pr]] = R[[pr, c]]
-            det = field.neg(det)
-        piv = int(R[c, c])
-        det = field.mul(det, piv)
-        R[c] = ops.mul(R[c], ops.scalar_inv(piv))
-        other = np.nonzero(R[:, c])[0]
-        other = other[other != c]
-        if len(other):
-            R[other] = ops.sub(R[other], ops.mul(R[other, c][:, None], R[c][None, :]))
-    return MatGF(field, R[:, n:].copy()), det
+    R, pivots, d = _eliminate(A.field, np.concatenate([A.a, identity(A.field, n).a], axis=1))
+    # A is invertible iff its own columns hold every pivot
+    if pivots != list(range(n)):
+        return None, 0
+    return MatGF(A.field, R[:, n:].copy()), d
 
 
 def det(A: MatGF) -> int:
-    return inverse_det(A)[1]
+    if A.rows != A.cols:
+        raise ShapeMismatch("determinant of non-square matrix")
+    _, pivots, d = _eliminate(A.field, A.a)
+    return d if len(pivots) == A.rows else 0
 
 
 # ---------------------------------------------------------------------------

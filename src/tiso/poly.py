@@ -6,17 +6,23 @@ either evaluates exhaustively (q <= 2^12) or applies randomized equal-degree
 splitting by quadratic residues.  That split needs odd q, which always holds
 there: `gf.field_create` caps the extension degree at 8, so every field of
 characteristic 2 has q <= 2^8 and takes the exhaustive path.
+
+`tiso.gf` tests its moduli for irreducibility with this module over F_p, so
+this module must not import `tiso.gf` at run time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DivideByZero, FieldMismatch, RetryExhausted, ZeroPolynomial
-from .gf import FieldSpec
+
+if TYPE_CHECKING:
+    from .gf import FieldSpec
 
 _EXHAUSTIVE_LIMIT = 1 << 12
 

@@ -32,7 +32,7 @@ from .gf import FieldSpec, additive_character
 from .matgf import (MatGF, charpoly, random_matrix, rref, trace_of_square,
                     trace_of_square_stack, unique_simple_eigenvalue)
 from .poly import Poly, poly, poly_divmod, poly_eval, poly_mul, roots_in_Fq
-from .tensor import as_rng, field_from_q
+from .tensor import as_rng, field_from_q, prime_power
 
 CENSUS_LIMIT = 1 << 24
 
@@ -93,9 +93,11 @@ class RationalSeries:
         return acc
 
 
-def _check_q(q: int):
-    if not isinstance(q, int) or q < 2:
-        raise BadParams(f"q must be an integer >= 2, got {q!r}")
+def _check_q(q: int) -> int:
+    """The characteristic of F_q; BadParams when q is no field order."""
+    if not isinstance(q, int):
+        raise BadParams(f"q must be an integer, got {q!r}")
+    return prime_power(q)[0]
 
 
 def c_n(q: int, n: int) -> Fraction:
@@ -353,9 +355,7 @@ def sigma_exact_char2(q: int) -> Fraction:
     """In characteristic 2 the self-dual fraction is exactly 1/q for every n
     (Tr(A^2) is an F_p-linear function of A there, with q^{n^2-1} * ...
     level sets of equal size q^{n^2}/q)."""
-    _check_q(q)
-    p = _char_of(q)
-    if p != 2:
+    if _check_q(q) != 2:
         raise BadParams("exact closed form holds only in characteristic 2")
     return Fraction(1, q)
 
@@ -379,13 +379,6 @@ def sigma_census(n: int, q: int) -> Fraction:
         tr2 = trace_of_square_stack(field, D)
         count += int((tr2 == 0).sum())
     return Fraction(count, total)
-
-
-def _char_of(q: int) -> int:
-    p = 2
-    while q % p:
-        p += 1
-    return p
 
 
 # ---------------------------------------------------------------------------

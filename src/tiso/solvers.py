@@ -378,6 +378,8 @@ def _gram_operator_vector(field, mats, h, rng):
 
 
 _T4_ENUM_CAP = 1 << 18
+# largest kernel-code dimension c that steps 3-5 take on (q^(c^2) bases)
+_T4_C_MAX = 4
 # cells of stacked work arrays per chunk of enumerated code elements, so that
 # peak memory does not grow with the enumeration size
 _T4_CHUNK_CELLS = 1 << 17
@@ -519,15 +521,13 @@ def _kernel_code_side(field, kernel_vecs, n, rng):
     return A1, reduced, mats
 
 
-def solve_t4(A: Tensor4, B: Tensor4, c_max: int = 4, rng=None):
+def solve_t4(A: Tensor4, B: Tensor4, rng=None):
     """Average-case isomorphism of two n x n x n x n tensors."""
     if A.field != B.field:
         raise ShapeMismatch("inputs over different fields")
     n = A.dims[0]
     if A.dims != (n, n, n, n) or B.dims != A.dims:
         raise ShapeMismatch("inputs must be cubic 4-tensors of equal size")
-    if not (1 <= c_max <= 4):
-        raise BadParams("c_max must be in [1, 4]")
     field = A.field
     rng = as_rng(rng)
     trace = StageTrace()
@@ -542,7 +542,7 @@ def solve_t4(A: Tensor4, B: Tensor4, c_max: int = 4, rng=None):
     if len(leftA) != len(leftB) or len(rightA) != len(rightB):
         return _notiso(trace, "step2")
     c = len(leftA)
-    if c == 0 or c > c_max:
+    if c == 0 or c > _T4_C_MAX:
         return _fail(trace, "step2")
     trace.record("step2", "pass", np.asarray([c]))
 
@@ -583,11 +583,11 @@ def solve_t4(A: Tensor4, B: Tensor4, c_max: int = 4, rng=None):
     return _notiso(trace, "step6")
 
 
-def solve(problem: str, A, B, rng=None, c_max: int = 4):
+def solve(problem: str, A, B, rng=None):
     if problem == "algiso":
         return solve_algiso(A, B, rng)
     if problem == "mcc":
         return solve_mcc(A, B, rng)
     if problem == "t4":
-        return solve_t4(A, B, c_max, rng)
+        return solve_t4(A, B, rng)
     raise BadParams(f"unknown problem {problem!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, FieldMismatch, ShapeMismatch, Singular
-from .gf import FieldSpec, field_create, is_prime, _prime_factors
+from .gf import FieldSpec, field_create, is_prime
 from .matgf import MatGF, inverse_det, random_invertible, rref
 from . import matgf
 
@@ -253,13 +253,15 @@ def prime_power(q: int):
     """(p, m) with q = p^m; BadParams when q is not a prime power."""
     if q < 2:
         raise BadParams("field order must be >= 2")
-    if is_prime(q):
-        return q, 1
-    fs = _prime_factors(q)
-    p = fs[0]
-    if any(f != p for f in fs):
-        raise BadParams(f"{q} is not a prime power")
-    return p, len(fs)
+    # integer m-th roots, not trial division, which never ends on a large semiprime
+    for m in range(1, q.bit_length() + 1):
+        # Newton's iteration from above ends at p = floor(q^(1/m))
+        p = 1 << -(-q.bit_length() // m)
+        while (nxt := ((m - 1) * p + q // p ** (m - 1)) // m) < p:
+            p = nxt
+        if p ** m == q and is_prime(p):
+            return p, m
+    raise BadParams(f"{q} is not a prime power")
 
 
 def field_from_q(q) -> FieldSpec:

@@ -62,6 +62,38 @@ def test_bad_field_spec_is_usage_error(tmp_path, capsys):
     assert not out.exists()  # no partial output
 
 
+def _assert_one_line_error(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_modulus_flag_is_never_coerced(capsys):
+    # 7,9,6 used to run over (2, 4, 1), and 1,x ended in a traceback
+    for modulus in ("7,9,6", "1,x"):
+        _assert_one_line_error(capsys, "experiment", "--problem", "algiso", "--n", "4",
+                               "--p", "5", "--m", "2", "--modulus", modulus, "--trials", "1")
+    # non-monic
+    _assert_one_line_error(capsys, "gen", "--problem", "algiso", "--n", "4",
+                           "--p", "5", "--m", "2", "--modulus", "2,1,3")
+
+
+def test_instance_modulus_is_never_coerced(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run(capsys, "gen", "--problem", "algiso", "--n", "4", "--p", "5", "--m", "2",
+        "--seed", "1", "--out", str(inst))
+    doc = json.loads(inst.read_text())
+    doc["field"]["modulus"] = [3.5, 0.5, 1.5]  # used to load as (3, 0, 1)
+    inst.write_text(json.dumps(doc))
+    _assert_one_line_error(capsys, "solve", str(inst))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    _assert_one_line_error(capsys, "experiment", "--problem", "algiso", "--n", "4",
+                           "--p", "5", "--trials", "1", "--jobs", jobs)
+
+
 def test_malformed_instance_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

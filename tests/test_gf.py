@@ -1,15 +1,23 @@
 """Field arithmetic: axioms, encoding, tables, characters."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiso.errors import BadParams, DivideByZero, NotPrime, ReducibleModulus
-from tiso.gf import (absolute_trace, additive_character, arith, field_create,
-                     is_prime)
+import tiso
+from tiso import rmt
+from tiso.errors import (BadParams, DegreeMismatch, DivideByZero, NotPrime,
+                         ReducibleModulus)
+from tiso.gf import (FieldSpec, _is_irreducible, absolute_trace, additive_character,
+                     arith, field_create, is_prime)
+from tiso.poly import poly
 
 FIELDS = [field_create(2), field_create(5), field_create(2, 3),
           field_create(3, 2), field_create(7, 2)]
@@ -80,6 +88,84 @@ def test_bad_parameters():
         field_create(2, 2, (0, 0, 1))  # x^2 is reducible
     assert is_prime((1 << 20) + 7)
     assert not is_prime(1 << 20)
+
+
+@pytest.mark.parametrize("p,max_m", [(2, 6), (3, 4)])
+def test_rabin_test_agrees_with_the_irreducible_sieve(p, max_m):
+    field = FieldSpec(p, 1, ())
+    sieve = rmt._monic_irreducibles(p, max_m)
+    for m in range(2, max_m + 1):
+        irreducible = {f.coeffs for f in sieve[m]}
+        for tail in itertools.product(range(p), repeat=m):
+            f = poly(field, list(tail) + [1])
+            assert _is_irreducible(f) == (f.coeffs in irreducible), f
+
+
+def test_explicit_modulus_checks():
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2 over GF(2) has no root in GF(2)
+    with pytest.raises(ReducibleModulus, match="reducible"):
+        field_create(2, 4, (1, 0, 1, 0, 1))
+    with pytest.raises(DegreeMismatch):
+        field_create(5, 2, (2, 1, 3))  # leading coefficient 3
+    with pytest.raises(DegreeMismatch):
+        field_create(5, 2, (2, 0, 1, 0))
+    assert field_create(5, 2, [3, 0, 1]).modulus == (3, 0, 1)
+    assert field_create(5, 2, np.array([3, 0, 1])).modulus == (3, 0, 1)
+
+
+@pytest.mark.parametrize("modulus", [(3.5, 0.5, 1.5), (3.0, 0, 1), ("3", "0", "1"),
+                                     (7, 9, 6), (-2, 0, 1), (3, 0, 6)], ids=str)
+def test_explicit_modulus_is_never_coerced(modulus):
+    with pytest.raises(BadParams):
+        field_create(5, 2, modulus)
+
+
+# default moduli recorded before the modulus checks moved onto tiso.poly;
+# they fix every extension field's element encoding
+DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 1, 1, 1),
+    (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (2, 7): (1, 1, 1, 0, 0, 1, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 1, 1, 0, 1),
+    (3, 2): (2, 1, 1),
+    (3, 3): (2, 2, 0, 1),
+    (3, 4): (1, 1, 1, 0, 1),
+    (3, 5): (1, 2, 0, 0, 1, 1),
+    (3, 6): (2, 1, 0, 1, 1, 1, 1),
+    (3, 7): (1, 0, 2, 1, 1, 1, 0, 1),
+    (3, 8): (1, 0, 2, 2, 1, 2, 2, 2, 1),
+    (5, 2): (3, 0, 1),
+    (5, 3): (4, 2, 0, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (5, 5): (3, 0, 2, 4, 2, 1),
+    (5, 6): (2, 1, 3, 3, 2, 0, 1),
+    (5, 7): (1, 0, 2, 0, 4, 4, 1, 1),
+    (5, 8): (4, 3, 1, 4, 0, 3, 1, 0, 1),
+    (7, 2): (1, 3, 1),
+    (7, 3): (2, 5, 0, 1),
+    (7, 4): (5, 5, 0, 5, 1),
+    (7, 5): (4, 0, 6, 0, 4, 1),
+    (7, 6): (1, 4, 6, 0, 4, 2, 1),
+    (7, 7): (1, 5, 4, 0, 5, 3, 3, 1),
+    (7, 8): (2, 3, 1, 5, 3, 0, 5, 2, 1),
+    ((1 << 20) + 7, 2): (184509, 947408, 1),
+}
+
+
+def test_default_moduli_are_unchanged():
+    assert {pm: field_create(*pm).modulus for pm in DEFAULT_MODULI} == DEFAULT_MODULI
+
+
+def test_every_module_imports_first():
+    """gf imports poly: no module may depend on being imported after another."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tiso.__file__)))
+    for name in ("gf", "poly", "matgf", "conj", "codes", "tensor", "solvers", "rmt", "cli"):
+        res = subprocess.run([sys.executable, "-c", f"import tiso.{name}"], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, (name, res.stderr)
 
 
 def test_arith_dispatcher():

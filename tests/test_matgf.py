@@ -1,5 +1,7 @@
 """Dense linear algebra over F_q: rref, kernels, determinants, spectra."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,38 @@ def test_inverse_det_round_trip():
         assert A @ Ainv == identity(F5, 6)
     S = zeros(F5, 3, 3)
     assert inverse_det(S) == (None, 0)
+
+
+# digests recorded when inverse_det had an elimination loop of its own
+INVERSE_DET_DIGESTS = {
+    (2, 1): "1909c4ca5bb8d4eb",
+    (5, 1): "f44c6277bdae2c78",
+    ((1 << 20) + 7, 1): "768fa8c423a06067",
+    ((1 << 31) - 1, 1): "29cf337826ecd7c6",
+    (2, 8): "053152c4d18e42b4",
+    (3, 5): "856ad683e51947d2",
+    (5, 7): "b07c42d6e40d9433",
+}
+
+
+@pytest.mark.parametrize("pm", sorted(INVERSE_DET_DIGESTS), ids=str)
+def test_inverse_det_and_det_match_recorded_digests(pm):
+    field = field_create(*pm)
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for n in (0, 1, 2, 3, 5, 8):
+        for kind in ("random", "zero row", "scaled first row"):
+            A = random_matrix(field, n, n, rng)
+            if n >= 2 and kind != "random":
+                c = int(rng.integers(0, field.q))
+                A.a[-1] = 0 if kind == "zero row" else field.ops.mul(A.a[0], c)
+            inv, d = inverse_det(A)
+            assert d == det(A)
+            assert (inv is None) == (d == 0)
+            if inv is not None:
+                assert A @ inv == identity(field, n)
+            h.update(repr((n, kind, d, None if inv is None else inv.tolist())).encode())
+    assert h.hexdigest()[:16] == INVERSE_DET_DIGESTS[pm]
 
 
 def test_det_multiplicative():

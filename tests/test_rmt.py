@@ -26,7 +26,20 @@ def test_c_n_values():
 @given(st.integers(2, 7), st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
 def test_gl_order_matches_cn(q, n):
+    if q == 6:  # no field has six elements
+        for f in (rmt.gl_order, lambda n, q: rmt.c_n(q, n)):
+            with pytest.raises(BadParams):
+                f(n, q)
+        return
     assert Fraction(rmt.gl_order(n, q), q ** (n * n)) == rmt.c_n(q, n)
+
+
+def test_library_calls_reject_a_q_that_is_no_field_order():
+    with pytest.raises(BadParams, match="not a prime power"):
+        rmt.alpha(3, 6)
+    # a semiprime whose trial division would run for minutes
+    with pytest.raises(BadParams, match="not a prime power"):
+        rmt.alpha(3, (2 ** 31 - 1) * (2 ** 31 - 19))
 
 
 def test_c_limit_certified():

@@ -1,5 +1,7 @@
 """Tensor containers, group actions, instance generation, JSON formats."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from tiso.matgf import identity, inverse_det, random_invertible
 from tiso.tensor import (Tensor3, Tensor4, act3, act4, act_algebra,
                          act_code_conj, field_from_q, flatten4, gen_instance,
                          instance_from_json, instance_to_json, kron,
-                         parse_mode, reassemble, sample_tensor, slices,
-                         unflatten4, verify_witness, witness_from_json,
+                         parse_mode, prime_power, reassemble, sample_tensor,
+                         slices, unflatten4, verify_witness, witness_from_json,
                          witness_to_json)
 
 F5 = field_create(5)
@@ -163,6 +165,19 @@ def test_verify_witness_rejects_wrong_transform():
     bad = {"T": identity(A.field, 4)}
     ok, _lam = verify_witness("algiso", A, B, bad)
     assert not ok
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(2, 3000):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        m = round(math.log(q, p))
+        if p ** m == q:
+            assert prime_power(q) == (p, m)
+        else:
+            with pytest.raises(BadParams):
+                prime_power(q)
+    for p, m in ((2, 61), (3, 39), ((1 << 20) + 7, 3), ((1 << 31) - 1, 2)):
+        assert prime_power(p ** m) == (p, m)
 
 
 def test_field_from_q():
