@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Exact-versus-census report for the spectral statistics engine.
 
-For every census-reachable (n, q) in a small grid, prints the closed-form
-values of alpha, alpha*, sigma next to the full-enumeration census, and the
-certified limits with their enclosure half-widths.
+For every census-reachable (n, q) in a small grid, prime and extension
+fields alike, prints the closed-form values of alpha, alpha*, sigma next to
+the full-enumeration census, and the certified limits with their enclosure
+half-widths.
 
 Example:
     python3 scripts/rmt_report.py
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from tiso import rmt
 
-GRID = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5)]
+GRID = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5), (3, 4), (2, 8), (2, 9)]
 
 
 def fs(x: Fraction) -> str:

@@ -155,10 +155,9 @@ def cmd_verify(args) -> int:
 # experiment harness
 
 
-def _run_trial(problem, n, p, m, modulus, mode, seed):
+def _run_trial(problem, n, field, mode, seed):
     """One generate+solve trial; importable at module top level so process
     pools can ship it to workers."""
-    field = field_create(p, m, modulus)
     A, B, _w = gen_instance(problem, n, field, mode, seed)
     t0 = time.perf_counter()
     verdict, trace = solve(problem, A, B, rng=seed)
@@ -186,8 +185,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     derived, merges are order-independent counts), so it is byte-identical
     across parallelism degrees; the "timing" section is not.
     """
-    argtuples = [(config.problem, config.n, config.p, config.m, config.modulus,
-                  config.mode, trial_seed(config.master_seed, i))
+    field = field_create(config.p, config.m, config.modulus)
+    argtuples = [(config.problem, config.n, field, config.mode,
+                  trial_seed(config.master_seed, i))
                  for i in range(config.trials)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:

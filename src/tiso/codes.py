@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, Singular
+from .errors import ShapeMismatch
 from .gf import FieldSpec
-from .matgf import MatGF, inverse_det, right_kernel, rref, trace
+from .matgf import MatGF, right_kernel, rref
 from .tensor import Tensor3, slices
 
 
@@ -91,24 +91,3 @@ def hull(C: MatrixCode) -> MatrixCode:
     R, pivots = rref(field, flat)
     return MatrixCode(field, C.ambient_n, R[: len(pivots)].copy())
 
-
-def conjugate_code(C: MatrixCode, T: MatGF) -> MatrixCode:
-    """The code T C T^{-1}."""
-    Tinv, d = inverse_det(T)
-    if d == 0:
-        raise Singular("conjugating matrix is singular")
-    mats = [T @ M @ Tinv for M in C.basis()]
-    return code_from_matrices(C.field, mats, C.ambient_n)
-
-
-def equivalent_code(C: MatrixCode, L: MatGF, R: MatGF) -> MatrixCode:
-    """The two-sided image {L^t M R : M in C}."""
-    if inverse_det(L)[1] == 0 or inverse_det(R)[1] == 0:
-        raise Singular("equivalence matrices must be invertible")
-    Lt = L.T
-    mats = [Lt @ M @ R for M in C.basis()]
-    return code_from_matrices(C.field, mats, C.ambient_n)
-
-
-def trace_pairing(X: MatGF, Y: MatGF) -> int:
-    return trace(X @ Y)

@@ -100,6 +100,21 @@ def _exhaustive_irreducible_check(f: Poly) -> bool:
     return True
 
 
+def _power(mul, a, e: int, one):
+    """a^e for e >= 0 by square-and-multiply with `mul`, starting from `one`.
+
+    The base is squared only while bits of e remain, so no product is wasted.
+    """
+    acc, base = one, a
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return acc
+
+
 class FieldSpec:
     """Immutable description of F_q, q = p^m, with scalar arithmetic.
 
@@ -125,6 +140,11 @@ class FieldSpec:
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
+
+    def __reduce__(self):
+        # pickle the definition only: the cached `ops` may hold a np.frompyfunc
+        # ufunc, which does not pickle, and the tables are rebuilt on demand
+        return FieldSpec, (self.p, self.m, self.modulus)
 
     def __repr__(self):
         if self.m == 1:
@@ -205,13 +225,7 @@ class FieldSpec:
             return self.pow(self.inv(a), -e)
         if self.m == 1:
             return pow(a, e, self.p)
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return _power(self.mul, a, e, 1)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -251,18 +265,9 @@ class FieldSpec:
     def _find_generator(self) -> int:
         q = self.q
         factors = set(_prime_factors(q - 1))
-
-        def pow_slow(a, e):
-            acc, base = 1, a
-            while e:
-                if e & 1:
-                    acc = self._mul_slow(acc, base)
-                base = self._mul_slow(base, base)
-                e >>= 1
-            return acc
-
+        # `mul` reads the tables being built, so powers use `_mul_slow`
         for g in range(2, q):
-            if all(pow_slow(g, (q - 1) // ell) != 1 for ell in factors):
+            if all(_power(self._mul_slow, g, (q - 1) // ell, 1) != 1 for ell in factors):
                 return g
         raise BadParams("no multiplicative generator found")  # pragma: no cover
 
@@ -323,21 +328,6 @@ def _default_modulus(p: int, m: int):
         f = [rng.randrange(p) for _ in range(m)] + [1]
         if _is_irreducible(poly(field, f)):
             return f
-
-
-def arith(spec: FieldSpec, a: int, b, op: str) -> int:
-    """Scalar arithmetic on canonical reps, dispatched by operation name."""
-    spec.check(a)
-    if op in ("add", "sub", "mul", "div"):
-        spec.check(b)
-        return getattr(spec, op)(a, b)
-    if op == "neg":
-        return spec.neg(a)
-    if op == "inv":
-        return spec.inv(a)
-    if op == "pow":
-        return spec.pow(a, b)
-    raise BadParams(f"unknown op {op!r}")
 
 
 def absolute_trace(spec: FieldSpec, a: int) -> int:
@@ -451,15 +441,7 @@ class FieldOps:
     def inv(self, x):
         """Elementwise inverse x^(q-2) by square-and-multiply; zero maps to zero."""
         x = np.asarray(x, dtype=np.int64)
-        out = np.ones_like(x)
-        base, e = x, self.q - 2
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return out * (x != 0)
+        return _power(self.mul, x, self.q - 2, np.ones_like(x)) * (x != 0)
 
     def matmul(self, A, B):
         """A @ B; leading axes of either operand are stack axes, as in numpy."""

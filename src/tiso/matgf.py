@@ -306,19 +306,6 @@ def _charpoly_hessenberg(field: FieldSpec, H: np.ndarray) -> Poly:
     return poly(field, [int(c) for c in P[n]])
 
 
-def poly_at_matrix(f: Poly, A: MatGF) -> MatGF:
-    """Evaluate f(A) by Horner's rule (deg f matrix multiplications)."""
-    field = A.field
-    n = A.rows
-    acc = zeros(field, n, n)
-    for c in reversed(f.coeffs):
-        acc = acc @ A
-        if c:
-            for i in range(n):
-                acc.a[i, i] = field.add(int(acc.a[i, i]), c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # spectral primitives
 

@@ -1,10 +1,11 @@
 """Univariate polynomials over F_q and F_q-root extraction.
 
 Coefficients are canonical field reps, low-to-high, trailing zeros stripped.
-Root finding isolates the linear-factor part via gcd(f, t^q - t) and then
-either evaluates exhaustively (q <= 2^12) or applies randomized equal-degree
-splitting by quadratic residues.  That split needs odd q, which always holds
-there: `gf.field_create` caps the extension degree at 8, so every field of
+Root finding isolates the linear-factor part via gcd(f, t^q - t).  A
+linear part of degree 1 gives its root directly; a larger one is evaluated
+exhaustively (q <= 2^12) or split by randomized equal-degree splitting by
+quadratic residues.  That split needs odd q, which always holds there:
+`gf.field_create` caps the extension degree at 8, so every field of
 characteristic 2 has q <= 2^8 and takes the exhaustive path.
 
 `tiso.gf` tests its moduli for irreducibility with this module over F_p, so
@@ -153,13 +154,16 @@ def linear_factor_part(f: Poly) -> Poly:
 
 
 def _split_equal_degree(g: Poly, rng) -> list:
-    """Split a monic product of distinct linear factors over odd q into its roots."""
+    """Split a monic product of distinct linear factors over odd q into its
+    roots; a single linear factor needs no split and takes any q."""
     F = g.field
     if g.degree == 0:
         return []
     if g.degree == 1:
         # monic t + c0 -> root -c0
         return [F.neg(g.coeffs[0])]
+    if rng is None:
+        rng = np.random.default_rng(0xC0FFEE)
     budget = max(8, 4 * int(math.log2(F.q)) + 4)
     for _ in range(budget):
         c1 = int(rng.integers(1, F.q))
@@ -181,12 +185,11 @@ def roots_in_Fq(f: Poly, rng=None):
     g = linear_factor_part(f)
     if g.degree <= 0:
         return []
-    if F.q <= _EXHAUSTIVE_LIMIT:
+    if F.q <= _EXHAUSTIVE_LIMIT and g.degree > 1:
         roots = [a for a in F.elements() if poly_eval(g, a) == 0]
     else:
-        if rng is None:
-            rng = np.random.default_rng(0xC0FFEE)
-        roots = sorted(_split_equal_degree(g, rng))
+        # a linear g is read off without a scan and without drawing from rng
+        roots = _split_equal_degree(g, rng)
     out = []
     for lam in sorted(roots):
         lin = poly(F, [F.neg(lam), 1])

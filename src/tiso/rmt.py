@@ -8,8 +8,11 @@ Three layers, kept deliberately separate:
 * certified floats: infinite-n limits such as c(q)^q, together with
   enclosure intervals and explicit convergence-bound evaluators;
 * oracles: brute-force censuses over all of M(n, q) (feasible up to
-  q^{n^2} <= 2^24), character sums by direct summation, and seeded
-  Monte Carlo frequency estimators.
+  q^{n^2} <= 2^24, hence n <= 4), character sums by direct summation, and
+  seeded Monte Carlo frequency estimators.  The census takes one path for
+  every field: stacked characteristic polynomials and Tr(A^2) on
+  `FieldOps`, and one `roots_in_Fq` call per distinct characteristic
+  polynomial.
 
 Every closed-form finite-n quantity is an exact Fraction so census
 comparisons are equalities, not approximations.
@@ -29,8 +32,8 @@ from .codes import code_from_matrices, hull
 from .conj import generates_full_algebra
 from .errors import BadParams, InvariantViolation, NonIntegralCount, TooLarge
 from .gf import FieldSpec, additive_character
-from .matgf import (MatGF, charpoly, random_matrix, rref, trace_of_square,
-                    trace_of_square_stack, unique_simple_eigenvalue)
+from .matgf import (random_matrix, rref, trace_of_square, trace_of_square_stack,
+                    unique_simple_eigenvalue)
 from .poly import Poly, poly, poly_divmod, poly_eval, poly_mul, roots_in_Fq
 from .tensor import as_rng, field_from_q, prime_power
 
@@ -619,7 +622,8 @@ class CensusReport:
         return self.delta() / self.sigma()
 
 
-def _census_chunks(q: int, n: int, chunk: int = 1 << 18):
+def _census_chunks(q: int, n: int):
+    chunk = 1 << 18
     total = q ** (n * n)
     if total > CENSUS_LIMIT:
         raise TooLarge(f"census size q^(n^2) = {total} exceeds {CENSUS_LIMIT}")
@@ -630,91 +634,79 @@ def _census_chunks(q: int, n: int, chunk: int = 1 << 18):
         yield digits.reshape(-1, n, n)
 
 
-def _batch_det(M: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a (B, k, k) batch, k <= 4, cofactor expansion."""
-    k = M.shape[1]
-    if k == 1:
-        return M[:, 0, 0] % p
-    if k == 2:
-        return (M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]) % p
-    acc = np.zeros(M.shape[0], dtype=np.int64)
-    cols = list(range(k))
-    for j in range(k):
-        sub = M[:, 1:, :][:, :, cols[:j] + cols[j + 1:]]
-        term = M[:, 0, j] * _batch_det(sub, p)
-        acc += term if j % 2 == 0 else -term
-    return acc % p
+def _stack_det(ops, E: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """det of the (rows, cols) submatrix of every matrix in a stack, by
+    cofactor expansion along the first row.
+
+    E[i, j] holds entry (i, j) of every matrix, so a submatrix is a choice
+    of indices and is never copied.  Exponential in its size; the census
+    only meets sizes up to 4 (see `_stack_charpoly`).
+    """
+    if len(rows) == 1:
+        return E[rows[0], cols[0]]
+    acc = ops.zeros(E.shape[-1])
+    for j, c in enumerate(cols):
+        term = ops.mul(E[rows[0], c], _stack_det(ops, E, rows[1:], cols[:j] + cols[j + 1:]))
+        acc = ops.sub(acc, term) if j % 2 else ops.add(acc, term)
+    return acc
 
 
-def _batch_charpoly_coeffs(D: np.ndarray, p: int) -> np.ndarray:
-    """Ascending coefficients of det(tI - A) mod p for a (B, n, n) batch,
-    n <= 4, via sums of principal minors."""
+def _stack_charpoly(field: FieldSpec, D: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of det(tI - A) for every A in a (B, n, n) stack.
+
+    The coefficient of t^(n-k) is (-1)^k times the sum of the k x k
+    principal minors: 2^n - 1 cofactor determinants, exponential in n.  That
+    is fine here, since `CENSUS_LIMIT` = 2^24 >= q^(n^2) forces n <= 4, and
+    every step is one `FieldOps` call over the whole stack.
+    """
+    ops = field.ops
     B, n, _ = D.shape
-    coeffs = np.zeros((B, n + 1), dtype=np.int64)
+    E = np.ascontiguousarray(np.moveaxis(D, 0, -1))
+    coeffs = ops.zeros((B, n + 1))
     coeffs[:, n] = 1
     for k in range(1, n + 1):
-        ek = np.zeros(B, dtype=np.int64)
+        ek = ops.zeros(B)
         for S in itertools.combinations(range(n), k):
-            idx = list(S)
-            ek = (ek + _batch_det(D[:, idx, :][:, :, idx], p)) % p
-        sign = -1 if k % 2 else 1
-        coeffs[:, n - k] = (sign * ek) % p
+            ek = ops.add(ek, _stack_det(ops, E, S, S))
+        coeffs[:, n - k] = ops.neg(ek) if k % 2 else ek
     return coeffs
-
-
-@lru_cache(maxsize=None)
-def _shift_matrix(p: int, n: int, lam: int):
-    """T with (coeffs of f(t)) @ T = coeffs of f(t + lam), mod p."""
-    T = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for i in range(n + 1):
-        for j in range(i + 1):
-            T[i, j] = math.comb(i, j) * pow(lam, i - j, p) % p
-    return T
 
 
 def brute_force_census(n: int, q: int) -> CensusReport:
     """Deterministic full enumeration of M(n, q): for every matrix, record
     the F_q eigen-profile (eigenvalue, algebraic multiplicity pairs) and
-    Tr(A^2).  Feasible for q^{n^2} <= 2^24."""
+    Tr(A^2).
+
+    One path serves every field.  Each chunk of matrices gets its
+    characteristic polynomials from `_stack_charpoly` and Tr(A^2) from
+    `trace_of_square_stack`, all with `FieldOps`.  The row (c_0, ...,
+    c_{n-1}, Tr A^2) is packed into one integer key below q^(n+1) <= 2^48
+    and counted with `np.unique`.  The roots of each distinct characteristic
+    polynomial come from one `roots_in_Fq` call.  Feasible for
+    q^{n^2} <= `CENSUS_LIMIT` = 2^24, hence for n <= 4.
+    """
     _check_q(q)
     if n < 1:
         raise BadParams("n must be >= 1")
     field = field_from_q(q)
+    powers = q ** np.arange(n + 1, dtype=np.int64)
+    profiles: dict = {}  # charpoly coefficients c_0..c_{n-1} -> eigen-profile
     counts: dict = {}
-    if field.m == 1 and n <= 4:
-        _census_fast(field, n, counts)
-    else:
-        _census_slow(field, n, counts)
+    for D in _census_chunks(q, n):
+        cols = _stack_charpoly(field, D)
+        cols[:, n] = trace_of_square_stack(field, D)  # in place of the monic 1
+        keys, cnt = np.unique(cols @ powers, return_counts=True)
+        for key, c in zip(keys.tolist(), cnt.tolist()):
+            digits = [key // q ** i % q for i in range(n + 1)]
+            cp = tuple(digits[:n])
+            sig = profiles.get(cp)
+            if sig is None:
+                sig = profiles[cp] = tuple(roots_in_Fq(poly(field, cp + (1,))))
+            entry = (sig, digits[n])
+            counts[entry] = counts.get(entry, 0) + c
     if sum(counts.values()) != q ** (n * n):
         raise InvariantViolation(f"census of M({n}, {q}) does not cover every matrix")
     return CensusReport(n, q, counts)
-
-
-def _census_fast(field: FieldSpec, n: int, counts: dict):
-    p = field.p
-    for D in _census_chunks(field.q, n):
-        coeffs = _batch_charpoly_coeffs(D, p)
-        mults = np.zeros((D.shape[0], p), dtype=np.int64)
-        for lam in range(p):
-            shifted = coeffs @ _shift_matrix(p, n, lam) % p
-            # multiplicity of root lam = order of vanishing at 0 after shift
-            mults[:, lam] = np.argmax(shifted != 0, axis=1)
-        tr2 = trace_of_square_stack(field, D)
-        rows = np.concatenate([mults, tr2[:, None]], axis=1)
-        uniq, cnt = np.unique(rows, axis=0, return_counts=True)
-        for row, c in zip(uniq, cnt):
-            sig = tuple((lam, int(m)) for lam, m in enumerate(row[:p]) if m)
-            key = (sig, int(row[p]))
-            counts[key] = counts.get(key, 0) + int(c)
-
-
-def _census_slow(field: FieldSpec, n: int, counts: dict):
-    for D in _census_chunks(field.q, n, chunk=1 << 14):
-        for i in range(D.shape[0]):
-            A = MatGF(field, D[i])
-            sig = tuple(roots_in_Fq(charpoly(A)))
-            key = (sig, trace_of_square(A))
-            counts[key] = counts.get(key, 0) + 1
 
 
 # ---------------------------------------------------------------------------

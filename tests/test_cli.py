@@ -170,6 +170,15 @@ def test_experiment_parallelism_independent():
     assert total == 24
 
 
+def test_experiment_parallelism_independent_over_extension_field():
+    # the field is built once and shipped to the workers with each trial
+    cfgs = [ExperimentConfig(problem="mcc", n=5, p=2, m=8, trials=8, master_seed=4,
+                             mode="unrelated", jobs=jobs) for jobs in (1, 2)]
+    r1, r2 = (run_experiment(c)["results"] for c in cfgs)
+    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+    assert sum(r1["verdicts"].values()) == 8
+
+
 def test_experiment_csv_format(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code, _, _ = run(capsys, "experiment", "--problem", "algiso", "--n", "6",

@@ -6,16 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiso.codes import (MatrixCode, code_from_matrices, code_from_slices,
-                        conjugate_code, equivalent_code, gram_trace_form, hull,
-                        trace_pairing)
+                        gram_trace_form, hull)
 from tiso.errors import Singular
 from tiso.gf import field_create
-from tiso.matgf import (MatGF, identity, random_invertible, random_matrix,
-                        trace, zeros)
+from tiso.matgf import (MatGF, identity, inverse_det, random_invertible,
+                        random_matrix, trace, zeros)
 from tiso.tensor import sample_tensor
 
 F5 = field_create(5)
 F4 = field_create(2, 2)
+
+
+# oracles: the code images the solvers' witnesses map codes onto
+
+
+def conjugate_code(C: MatrixCode, T: MatGF) -> MatrixCode:
+    """The code T C T^{-1}."""
+    Tinv, d = inverse_det(T)
+    if d == 0:
+        raise Singular("conjugating matrix is singular")
+    return code_from_matrices(C.field, [T @ M @ Tinv for M in C.basis()], C.ambient_n)
+
+
+def equivalent_code(C: MatrixCode, L: MatGF, R: MatGF) -> MatrixCode:
+    """The two-sided image {L^t M R : M in C}."""
+    if inverse_det(L)[1] == 0 or inverse_det(R)[1] == 0:
+        raise Singular("equivalence matrices must be invertible")
+    return code_from_matrices(C.field, [L.T @ M @ R for M in C.basis()], C.ambient_n)
 
 
 def _rand_code(field, n, k, rng):
@@ -67,7 +84,7 @@ def test_hull_elements_are_self_orthogonal_to_code():
         for X in H.basis():
             found += 1
             for Y in C.basis():
-                assert trace_pairing(X, Y) == 0
+                assert trace(X @ Y) == 0
         if found >= 5:
             break
     assert found >= 1

@@ -1,8 +1,10 @@
 """Field arithmetic: axioms, encoding, tables, characters."""
 
+import hashlib
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -16,7 +18,7 @@ from tiso import rmt
 from tiso.errors import (BadParams, DegreeMismatch, DivideByZero, NotPrime,
                          ReducibleModulus)
 from tiso.gf import (FieldSpec, _is_irreducible, absolute_trace, additive_character,
-                     arith, field_create, is_prime)
+                     field_create, is_prime)
 from tiso.poly import poly
 
 FIELDS = [field_create(2), field_create(5), field_create(2, 3),
@@ -168,14 +170,6 @@ def test_every_module_imports_first():
         assert res.returncode == 0, (name, res.stderr)
 
 
-def test_arith_dispatcher():
-    spec = field_create(7)
-    assert arith(spec, 3, 5, "add") == 1
-    assert arith(spec, 3, 5, "mul") == 1
-    with pytest.raises(BadParams):
-        arith(spec, 3, 5, "frobnicate")
-
-
 def test_absolute_trace_is_linear_into_prime_field():
     spec = field_create(2, 3)
     for a in spec.elements():
@@ -239,6 +233,31 @@ def test_array_inv_and_stacked_matmul(spec):
     for i in range(4):
         assert (AB[i] == ops.matmul(A[i], B[i])).all()
         assert (AC[i] == ops.matmul(A[i], C)).all()
+
+
+# generator and sha256 prefix of log || exp, recorded from the earlier
+# per-caller square-and-multiply loops
+TABLES = {(2, 2): (2, "135e7ca1956760a1"), (2, 8): (9, "a6cd46e8b5cd6660"),
+          (3, 5): (3, "60f4d32e0b856fc4"), (7, 2): (11, "bcfb3b9962d77192"),
+          (3, 8): (10, "84d6c05b1210cb8a"), (17, 3): (17, "ae422150a94068e3")}
+
+
+@pytest.mark.parametrize("pm", sorted(TABLES), ids=str)
+def test_generator_and_tables_are_stable(pm):
+    spec = field_create(*pm)
+    log, exp = spec._tables
+    digest = hashlib.sha256(log.tobytes() + exp.tobytes()).hexdigest()[:16]
+    assert (spec._find_generator(), digest) == TABLES[pm]
+
+
+@pytest.mark.parametrize("pm", [(5, 1), (2, 8), (5, 7)], ids=str)
+def test_field_pickles_after_use(pm):
+    spec = field_create(*pm)
+    x = np.arange(1, 50, dtype=np.int64)
+    inv = spec.ops.inv(x)  # caches ops (a frompyfunc ufunc for GF(5^7))
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and back.to_json() == spec.to_json()
+    assert (back.ops.inv(x) == inv).all()
 
 
 def test_large_prime_field():

@@ -1,8 +1,10 @@
 """Exact random-matrix statistics: series, counts, censuses, estimators."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from tiso import rmt
 from tiso.errors import BadParams, TooLarge
 from tiso.gf import field_create
+from tiso.matgf import MatGF, charpoly
 from tiso.poly import poly
 
 
@@ -105,16 +108,48 @@ def test_alpha_formulas():
 
 # -- censuses ---------------------------------------------------------------
 
-def test_census_fast_and_slow_paths_agree():
-    fast = rmt.brute_force_census(2, 3)       # prime field, vectorized
-    assert fast.total == 81
-    slow = rmt.brute_force_census(2, 4)       # GF(4): per-matrix path
-    assert slow.total == 256
-    assert sum(slow.counts.values()) == 256
-    # closed forms hold on both paths
-    assert fast.alpha() == rmt.alpha(2, 3)
-    assert slow.alpha() == rmt.alpha(2, 4)
-    assert slow.alpha_star() == rmt.alpha_star(2, 4)
+def test_census_one_path_for_prime_and_extension_fields():
+    for n, q in ((2, 3), (2, 4)):
+        rep = rmt.brute_force_census(n, q)
+        assert rep.total == q ** (n * n) == sum(rep.counts.values())
+        assert rep.alpha() == rmt.alpha(n, q)
+        assert rep.alpha_star() == rmt.alpha_star(n, q)
+
+
+# one field per FieldOps backend: small and large primes, log tables, and the
+# scalar product above the table limit
+@pytest.mark.parametrize("pm", [(2, 1), (5, 1), ((1 << 31) - 1, 1), (2, 8), (3, 5), (5, 7)],
+                         ids=str)
+def test_stack_charpoly_matches_charpoly(pm):
+    field = field_create(*pm)
+    rng = np.random.default_rng(sum(pm))
+    for n in range(1, 5):
+        D = rng.integers(0, field.q, size=(6, n, n), dtype=np.int64)
+        D[0] = 0
+        cols = rmt._stack_charpoly(field, D)
+        for i in range(D.shape[0]):
+            assert tuple(cols[i].tolist()) == charpoly(MatGF(field, D[i])).coeffs
+
+
+@pytest.mark.parametrize("n,q", [(3, 4), (2, 8)])
+def test_census_matches_closed_forms_over_extension_fields(n, q):
+    rep = rmt.brute_force_census(n, q)
+    assert rep.alpha() == rmt.alpha(n, q)
+    assert rep.alpha_star() == rmt.alpha_star(n, q)
+    assert Fraction(rep.eigenvalue_free_count(), rmt.gl_order(n, q)) == rmt.v_n(q, n)
+    assert rep.invertible_count() == rmt.gl_order(n, q)
+    assert rep.sigma() == rmt.sigma_exact_char2(q) == Fraction(1, q)
+
+
+def test_census_at_n1_over_a_large_prime_stays_small():
+    tracemalloc.start()
+    try:
+        rep = rmt.brute_force_census(1, 4099)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.alpha() == 1
+    assert peak < 32 << 20
 
 
 def test_census_matches_formulas_at_3_3():
