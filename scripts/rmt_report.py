@@ -10,9 +10,10 @@ Example:
     python3 scripts/rmt_report.py
 """
 
+import sys
 from fractions import Fraction
 
-from tiso import rmt
+from tiso import cli, rmt
 
 GRID = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5), (3, 4), (2, 8), (2, 9)]
 
@@ -49,4 +50,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.quiet_on_closed_pipe(main))

@@ -16,8 +16,9 @@ Example:
 """
 
 import argparse
+import sys
 
-from tiso import rmt
+from tiso import cli, rmt
 
 
 def main():
@@ -44,4 +45,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.quiet_on_closed_pipe(main))

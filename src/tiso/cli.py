@@ -463,20 +463,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def quiet_on_closed_pipe(func, *args):
+    """func(*args), ending quietly with EXIT_OK if the reader of stdout goes
+    away (`tiso ... | head`); the command-line entry points run through it."""
+    try:
+        code = func(*args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.command == "rmt" and args.action != "limits" and not args.quantity:
         ap.error("rmt exact/census/mc need a quantity name")
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
-        return code
-    except BrokenPipeError:
-        # the reader went away (`tiso ... | head`): end quietly, and point
-        # stdout at devnull so the flush at shutdown does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        return quiet_on_closed_pipe(args.func, args)
     except (BadParams, DegreeMismatch, NotPrime, ReducibleModulus, ShapeMismatch,
             TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -63,19 +63,18 @@ def code_from_slices(A: Tensor3, direction: str) -> MatrixCode:
     return code_from_matrices(A.field, mats, n)
 
 
+def trace_gram(field: FieldSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """G(i,j) = Tr(X_i Y_j) for stacks X (k x n x n) and Y (l x n x n)."""
+    k, l, n = len(X), len(Y), X.shape[-1]
+    # Tr(X_i Y_j) = sum_{a,b} X_i(a,b) Y_j(b,a): a dot product of flattenings
+    return field.ops.matmul(X.reshape(k, n * n), Y.transpose(0, 2, 1).reshape(l, n * n).T)
+
+
 def gram_trace_form(C: MatrixCode) -> MatGF:
     """G(i,j) = Tr(B_i B_j) over the code basis; symmetric."""
-    field = C.field
     n = C.ambient_n
-    d = C.dim
-    G = field.ops.zeros((d, d))
-    if d:
-        # Tr(B_i B_j) = sum_{a,b} B_i(a,b) B_j(b,a): a dot product of flattenings
-        flat = C.basis_flat
-        flat_t = np.stack(
-            [C.basis_flat[i].reshape(n, n).T.reshape(-1) for i in range(d)], axis=0)
-        G = field.ops.matmul(flat, flat_t.T)
-    return MatGF(field, G)
+    B = C.basis_flat.reshape(C.dim, n, n)
+    return MatGF(C.field, trace_gram(C.field, B, B))
 
 
 def hull(C: MatrixCode) -> MatrixCode:

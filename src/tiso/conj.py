@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvariantViolation, ShapeMismatch
 from .gf import FieldSpec
 from .matgf import MatGF, identity, inverse_det, right_kernel
-from .tensor import kron, as_rng
+from .tensor import as_rng, kron, mode_product
 
 # above this size the dense n^2-unknown system is not attempted
 FULL_SYSTEM_MAX_N = 32
@@ -80,14 +80,11 @@ def conj_coset(Atuple, Btuple, rng=None) -> ConjCoset:
             return ConjCoset("Conjugate", X, basis)
         return ConjCoset("NotConjugate", None, basis)
     rng = as_rng(rng)
+    stack = np.stack([Bv.a for Bv in basis])
     for _ in range(8 * n):
         coeffs = rng.integers(0, field.q, size=len(basis))
-        acc = field.ops.zeros((n, n))
-        for c, Bv in zip(coeffs, basis):
-            if c:
-                acc = field.ops.add(acc, field.ops.mul(Bv.a, int(c)))
-        X = MatGF(field, acc)
-        if acc.any() and inverse_det(X)[1] != 0:
+        X = MatGF(field, mode_product(field, stack, coeffs[None], 0)[0])
+        if X.a.any() and inverse_det(X)[1] != 0:
             return ConjCoset("Conjugate", X, basis)
     return ConjCoset("Undecided", None, basis)
 
@@ -96,7 +93,9 @@ def conj_coset(Atuple, Btuple, rng=None) -> ConjCoset:
 # incremental echelon tracking (vectors as 1-D rep arrays)
 
 
-class _Echelon:
+class Echelon:
+    """Echelon basis of a growing span; `add` reports whether a vector was new."""
+
     def __init__(self, field: FieldSpec, n: int):
         self.field = field
         self.n = n
@@ -145,7 +144,7 @@ def conj_with_seed(Atuple, Btuple, w, z):
     ops = field.ops
     w = np.asarray(w, dtype=ops.dtype)
     z = np.asarray(z, dtype=ops.dtype)
-    ech = _Echelon(field, n)
+    ech = Echelon(field, n)
     if not ech.add(w):
         return None, False
     xs, ys = [w], [z]
@@ -184,16 +183,10 @@ def centralizer_is_scalars(Atuple, rng=None):
     """
     n = _check_tuples(Atuple, Atuple)
     field = Atuple[0].field
-    ops = field.ops
     rng = as_rng(rng)
-    candidates = [M.a for M in Atuple]
-    for _ in range(3):
-        coeffs = rng.integers(0, field.q, size=len(Atuple))
-        acc = ops.zeros((n, n))
-        for c, M in zip(coeffs, Atuple):
-            if c:
-                acc = ops.add(acc, ops.mul(M.a, int(c)))
-        candidates.append(acc)
+    stack = np.stack([M.a for M in Atuple])
+    coeffs = np.stack([rng.integers(0, field.q, size=len(Atuple)) for _ in range(3)])
+    candidates = [*stack, *mode_product(field, stack, coeffs, 0)]
     for E in candidates:
         if _is_nonderogatory(field, E, rng):
             return _scalars_only_given_cyclic(field, E, Atuple)
@@ -208,7 +201,7 @@ def _is_nonderogatory(field: FieldSpec, E: np.ndarray, rng, tries: int = 3) -> b
     ops = field.ops
     for _ in range(tries):
         v = rng.integers(0, field.q, size=n, dtype=np.int64)
-        ech = _Echelon(field, n)
+        ech = Echelon(field, n)
         x = v
         while ech.add(x) and ech.rank < n:
             x = ops.matmul(E, x[:, None])[:, 0]
@@ -253,7 +246,7 @@ def generates_full_algebra(A1: MatGF, A2: MatGF) -> bool:
     field = A1.field
     n = A1.rows
     ops = field.ops
-    ech = _Echelon(field, n * n)
+    ech = Echelon(field, n * n)
     basis = [identity(field, n).a]
     ech.add(basis[0].reshape(-1))
     qi = 0

@@ -148,6 +148,9 @@ def powmod(base: Poly, e: int, modulus: Poly) -> Poly:
 def linear_factor_part(f: Poly) -> Poly:
     """gcd(f, t^q - t): the product of (t - lambda) over distinct F_q-roots."""
     F = f.field
+    if f.degree == 1:
+        # a linear f divides t^q - t, so the gcd is f made monic
+        return poly_scale(f, F.inv(f.coeffs[-1]))
     t = poly(F, [0, 1])
     tq = powmod(t, F.q, f)
     return poly_gcd(f, poly_sub(tq, t))

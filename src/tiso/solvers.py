@@ -1,29 +1,33 @@
 """The three average-case decision pipelines.
 
-Each solver walks a fixed six-stage decision tree.  Breakdowns on the first
-input are reported as Failure (the average-case precondition did not hold);
-breakdowns on the second input are certified invariant mismatches and are
-reported as NotIsomorphic.  A verdict of Isomorphic always carries a witness
-that re-verifies exactly before being returned.
+Each solver walks a fixed six-stage decision tree.  A gate tests the first
+input and then, only if it passed, the second (`_gate`).  Breakdowns on the
+first input are reported as Failure (the average-case precondition did not
+hold); breakdowns on the second input are certified invariant mismatches and
+are reported as NotIsomorphic.  The exits that compare the two inputs, or
+that give Failure whichever input broke down, are written out at their
+stage.  A verdict of Isomorphic always carries a witness that re-verifies
+exactly before being returned.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
 from .errors import (BadParams, InvariantViolation, NotSimpleEigenvalue,
                      ShapeMismatch, Singular)
-from .codes import code_from_slices, hull
-from .conj import (FULL_SYSTEM_MAX_N, centralizer_is_scalars, conj_coset,
+from .codes import code_from_slices, hull, trace_gram
+from .conj import (FULL_SYSTEM_MAX_N, Echelon, centralizer_is_scalars, conj_coset,
                    conj_with_seed, intertwiner_space)
 from .matgf import (MatGF, eigen_profile, identity, inverse_det, right_kernel,
-                    rref, rref_rank_kernel, rref_stack, solve_linear,
+                    rref_rank_kernel, rref_stack, solve_linear,
                     unique_simple_eigenvalue, primary_split_basis)
 from .tensor import (Tensor3, Tensor4, Verdict, as_rng, flatten4, kron,
-                     slices, vec_to_matrix, verify_witness)
+                     mode_product, vec_to_matrix, verify_witness)
 
 STAGES = ("step1", "step2", "step3", "step4", "step5", "step6")
 
@@ -69,14 +73,21 @@ def _notiso(trace: StageTrace, stage: str, *payload):
     return Verdict("NotIsomorphic", stage=stage), trace
 
 
-def _contract(A: Tensor3, vec: np.ndarray, axis: int) -> MatGF:
-    """sum_i vec[i] * (slice i along `axis`)."""
-    field = A.field
-    arr = np.moveaxis(A.a, axis, 0)
-    n = arr.shape[0]
-    flat = arr.reshape(n, -1)
-    row = field.ops.matmul(np.asarray(vec, dtype=field.ops.dtype)[None, :], flat)[0]
-    return MatGF(field, row.reshape(arr.shape[1:]))
+def _gate(trace: StageTrace, stage: str, test, a, b):
+    """Run `test` on the first input and, only if that passes, on the second.
+
+    `test` returns None on a breakdown.  Returns (test(a), test(b), None)
+    when both pass, else (None, None, stop) with stop the (verdict, trace)
+    pair the solver returns: Failure when the first input breaks down,
+    NotIsomorphic when only the second does.
+    """
+    ra = test(a)
+    if ra is None:
+        return None, None, _fail(trace, stage)
+    rb = test(b)
+    if rb is None:
+        return None, None, _notiso(trace, stage)
+    return ra, rb, None
 
 
 def _check_pair3(A: Tensor3, B: Tensor3, min_n: int):
@@ -88,6 +99,25 @@ def _check_pair3(A: Tensor3, B: Tensor3, min_n: int):
     if n < min_n:
         raise BadParams(f"side length must be >= {min_n}")
     return A.field, n
+
+
+def _hull_spanners(trace: StageTrace, A: Tensor3, B: Tensor3, direction: str, n: int):
+    """Steps 1-2 on the slices along `direction`: each slice code must have
+    full dimension n and a 1-dimensional hull.  Returns the two hull
+    spanners and a stop, as `_gate` does."""
+    def full_code(T):
+        C = code_from_slices(T, direction)
+        return C if C.dim == n else None
+
+    def hull_spanner(C):
+        H = hull(C)
+        return H.basis()[0] if H.dim == 1 else None
+
+    CA, CB, stop = _gate(trace, "step1", full_code, A, B)
+    if stop:
+        return None, None, stop
+    trace.record("step1", "pass", CA.basis_flat, CB.basis_flat)
+    return _gate(trace, "step2", hull_spanner, CA, CB)
 
 
 def _conj_pair(Atuple, Btuple, seed, rng):
@@ -119,66 +149,42 @@ def solve_algiso(A: Tensor3, B: Tensor3, rng=None):
     field, n = _check_pair3(A, B, 3)
     rng = as_rng(rng)
     trace = StageTrace()
+    simple = partial(unique_simple_eigenvalue, rng=rng)
+    simple_nonzero = partial(simple, require_nonzero=True)
 
-    # step 1: slice spans must be full
-    CA = code_from_slices(A, "horizontal")
-    if CA.dim < n:
-        return _fail(trace, "step1")
-    CB = code_from_slices(B, "horizontal")
-    if CB.dim < n:
-        return _notiso(trace, "step1")
-    trace.record("step1", "pass", CA.basis_flat, CB.basis_flat)
-
-    # step 2: hulls of dimension 1
-    HA = hull(CA)
-    if HA.dim != 1:
-        return _fail(trace, "step2")
-    HB = hull(CB)
-    if HB.dim != 1:
-        return _notiso(trace, "step2")
-    hA, hB = HA.basis()[0], HB.basis()[0]
+    # steps 1-2: full horizontal slice codes with hulls of dimension 1
+    hA, hB, stop = _hull_spanners(trace, A, B, "horizontal", n)
+    if stop:
+        return stop
     trace.record("step2", "pass", hA.a, hB.a)
 
     # step 3: unique simple eigenvalues on the hull spanners
-    resA = unique_simple_eigenvalue(hA, require_nonzero=False, rng=rng)
-    if resA is None:
-        return _fail(trace, "step3")
-    resB = unique_simple_eigenvalue(hB, require_nonzero=False, rng=rng)
-    if resB is None:
-        return _notiso(trace, "step3")
-    lamA, vA, _ = resA
-    lamB, uB, _ = resB
+    resA, resB, stop = _gate(trace, "step3", simple, hA, hB)
+    if stop:
+        return stop
     # hull spanners are only defined up to scale, so only zero-ness matches
-    if (lamA == 0) != (lamB == 0):
+    if (resA[0] == 0) != (resB[0] == 0):
         return _notiso(trace, "step3")
-    A1 = _contract(A, vA, 0)
-    B1 = _contract(B, uB, 0)
+    A1 = MatGF(field, mode_product(field, A.a, resA[1][None], 0)[0])
+    B1 = MatGF(field, mode_product(field, B.a, resB[1][None], 0)[0])
     trace.record("step3", "pass", A1.a, B1.a)
 
     # step 4: contracted pair, nonzero unique simple eigenvalues, rescale B
-    res1 = unique_simple_eigenvalue(A1, require_nonzero=True, rng=rng)
-    if res1 is None:
-        return _fail(trace, "step4")
-    res1b = unique_simple_eigenvalue(B1, require_nonzero=True, rng=rng)
-    if res1b is None:
-        return _notiso(trace, "step4")
+    res1, res1b, stop = _gate(trace, "step4", simple_nonzero, A1, B1)
+    if stop:
+        return stop
     alpha1, v1, w1 = res1
     beta1, u1, z1 = res1b
     B1r = B1.scale(field.div(alpha1, beta1))
-    A2 = _contract(A, v1, 0)
-    B2 = _contract(B, u1, 0)
+    A2 = MatGF(field, mode_product(field, A.a, v1[None], 0)[0])
+    B2 = MatGF(field, mode_product(field, B.a, u1[None], 0)[0])
     trace.record("step4", "pass", A2.a, B2.a)
 
     # step 5: second contracted pair
-    res2 = unique_simple_eigenvalue(A2, require_nonzero=True, rng=rng)
-    if res2 is None:
-        return _fail(trace, "step5")
-    res2b = unique_simple_eigenvalue(B2, require_nonzero=True, rng=rng)
-    if res2b is None:
-        return _notiso(trace, "step5")
-    alpha2 = res2[0]
-    beta2 = res2b[0]
-    B2r = B2.scale(field.div(alpha2, beta2))
+    res2, res2b, stop = _gate(trace, "step5", simple_nonzero, A2, B2)
+    if stop:
+        return stop
+    B2r = B2.scale(field.div(res2[0], res2b[0]))
     trace.record("step5", "pass", B1r.a, B2r.a)
 
     # step 6: tuple conjugacy and global verification
@@ -206,35 +212,21 @@ def solve_algiso(A: Tensor3, B: Tensor3, rng=None):
 def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     """Average-case conjugacy of the frontal-slice matrix codes."""
     field, n = _check_pair3(A, B, 3)
+    ops = field.ops
     rng = as_rng(rng)
     trace = StageTrace()
+    simple_nonzero = partial(unique_simple_eigenvalue, require_nonzero=True, rng=rng)
 
-    # step 1: frontal slice spans must be full
-    CA = code_from_slices(A, "frontal")
-    if CA.dim < n:
-        return _fail(trace, "step1")
-    CB = code_from_slices(B, "frontal")
-    if CB.dim < n:
-        return _notiso(trace, "step1")
-    trace.record("step1", "pass", CA.basis_flat, CB.basis_flat)
-
-    # step 2: hulls of dimension 1 with nonzero unique simple eigenvalues
-    HA = hull(CA)
-    if HA.dim != 1:
-        return _fail(trace, "step2")
-    HB = hull(CB)
-    if HB.dim != 1:
-        return _notiso(trace, "step2")
-    hA, hB = HA.basis()[0], HB.basis()[0]
-    resA = unique_simple_eigenvalue(hA, require_nonzero=True, rng=rng)
-    if resA is None:
-        return _fail(trace, "step2")
-    resB = unique_simple_eigenvalue(hB, require_nonzero=False, rng=rng)
-    if resB is None or resB[0] == 0:
-        return _notiso(trace, "step2")
-    lamA, lamB = resA[0], resB[0]
-    c0 = field.div(lamA, lamB)
-    hBs = hB.scale(c0)  # target relation: S hA S^{-1} = hBs
+    # steps 1-2: full frontal slice codes with hulls of dimension 1, whose
+    # spanners have nonzero unique simple eigenvalues
+    hA, hB, stop = _hull_spanners(trace, A, B, "frontal", n)
+    if stop:
+        return stop
+    resA, resB, stop = _gate(trace, "step2", simple_nonzero, hA, hB)
+    if stop:
+        return stop
+    lamA = resA[0]
+    hBs = hB.scale(field.div(lamA, resB[0]))  # target relation: S hA S^{-1} = hBs
     trace.record("step2", "pass", hA.a, hBs.a)
 
     # step 3: primary splits put both lambda-eigenspaces at span{e_1}
@@ -244,41 +236,36 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     PBinv, dB = inverse_det(PB)
     if dA == 0 or dB == 0:
         raise Singular("primary split basis is singular")
-    Aslices = [PA @ M @ PAinv for M in slices(A, "frontal")]
-    Bslices = [PB @ M @ PBinv for M in slices(B, "frontal")]
+    # frontal slices A_k = A[:, :, k], stacked along the first axis
+    As = ops.matmul(ops.matmul(PA.a, np.moveaxis(A.a, 2, 0)), PAinv.a)
+    Bs = ops.matmul(ops.matmul(PB.a, np.moveaxis(B.a, 2, 0)), PBinv.a)
     hAt = PA @ hA @ PAinv
     hBt = PB @ hBs @ PBinv
     trace.record("step3", "pass", hAt.a, hBt.a)
 
     # step 4: the first-column slice matrix and its hyperplane normals
-    def hyper_normal(mats):
-        tilde = np.stack([M.a[:, 0] for M in mats], axis=1)  # column j from slice j
-        hat = MatGF(field, tilde[1:, :].copy())
-        _, right = right_kernel(hat)
+    def hyper_normal(stack):
+        # column j of the first-column matrix is slice j's first column
+        _, right = right_kernel(MatGF(field, stack[:, 1:, 0].T.copy()))
         if len(right) != 1:
             return None
         return right[0]
 
-    vA = hyper_normal(Aslices)
+    vA = hyper_normal(As)
     if vA is None:
         return _fail(trace, "step4")
-    vB = hyper_normal(Bslices)
+    vB = hyper_normal(Bs)
     if vB is None:
         return _fail(trace, "step4")
     trace.record("step4", "pass", vA, vB)
 
     # step 5: contract each side with its own normal; matched up to scalar
-    A1 = _contract_mats(field, Aslices, vA)
-    B1 = _contract_mats(field, Bslices, vB)
-    res1 = unique_simple_eigenvalue(A1, require_nonzero=True, rng=rng)
-    if res1 is None:
-        return _fail(trace, "step5")
-    res1b = unique_simple_eigenvalue(B1, require_nonzero=True, rng=rng)
-    if res1b is None:
-        return _notiso(trace, "step5")
-    alpha1, _, w1 = res1
-    beta1, _, z1 = res1b
-    B1r = B1.scale(field.div(alpha1, beta1))
+    A1 = MatGF(field, mode_product(field, As, vA[None], 0)[0])
+    B1 = MatGF(field, mode_product(field, Bs, vB[None], 0)[0])
+    res1, res1b, stop = _gate(trace, "step5", simple_nonzero, A1, B1)
+    if stop:
+        return stop
+    B1r = B1.scale(field.div(res1[0], res1b[0]))
     trace.record("step5", "pass", A1.a, B1r.a)
 
     # step 6: a second matched pair from the Gram operators, then conjugacy
@@ -295,22 +282,19 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     # hull's coefficient vector spans the 0-eigenspace of Psi (Gamma
     # annihilates it), so the unique simple NONZERO eigenvalue selects an
     # independent one.
-    resPsiA = _gram_operator_vector(field, Aslices, hAt, rng)
-    if resPsiA is None:
-        return _fail(trace, "step6")
-    muA, xA = resPsiA
-    resPsiB = _gram_operator_vector(field, Bslices, hBt, rng)
-    if resPsiB is None or resPsiB[0] != muA:
+    resPsiA, resPsiB, stop = _gate(
+        trace, "step6", lambda side: _gram_operator_vector(field, *side, rng),
+        (As, hAt), (Bs, hBt))
+    if stop:
+        return stop
+    (muA, xA), (muB, xB) = resPsiA, resPsiB
+    if muB != muA:
         return _notiso(trace, "step6")
-    xB = resPsiB[1]
-    A2 = _contract_mats(field, Aslices, xA)
-    B2 = _contract_mats(field, Bslices, xB)
-    res2 = unique_simple_eigenvalue(A2, require_nonzero=True, rng=rng)
-    if res2 is None:
-        return _fail(trace, "step6")
-    res2b = unique_simple_eigenvalue(B2, require_nonzero=True, rng=rng)
-    if res2b is None:
-        return _notiso(trace, "step6")
+    A2 = MatGF(field, mode_product(field, As, xA[None], 0)[0])
+    B2 = MatGF(field, mode_product(field, Bs, xB[None], 0)[0])
+    res2, res2b, stop = _gate(trace, "step6", simple_nonzero, A2, B2)
+    if stop:
+        return stop
     B2r = B2.scale(field.div(res2[0], res2b[0]))
     if centralizer_is_scalars((hAt, A2), rng) is not True:
         return _fail(trace, "step6")
@@ -322,8 +306,9 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
         return _fail(trace, "step6")
     if S is None:
         return _notiso(trace, "step6")
-    K = MatGF(field, np.stack([(S @ M).a.reshape(-1) for M in Aslices], axis=0))
-    rhs = np.stack([(Bi @ S).a.reshape(-1) for Bi in Bslices], axis=0)
+    # T from B_k = sum_k' T(k,k') S A_k' S^{-1}: solve x K = rhs row by row
+    K = MatGF(field, ops.matmul(S.a, As).reshape(n, -1))
+    rhs = ops.matmul(Bs, S.a).reshape(n, -1)
     sol = solve_linear(K, rhs, side="left")
     if sol is None:
         return _notiso(trace, "step6")
@@ -337,26 +322,17 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     return Verdict("Isomorphic", witness={"S": S_orig, "T": T}), trace
 
 
-def _contract_mats(field, mats, vec):
-    flat = np.stack([M.a.reshape(-1) for M in mats], axis=0)
-    row = field.ops.matmul(np.asarray(vec, dtype=field.ops.dtype)[None, :], flat)[0]
-    n = mats[0].rows
-    return MatGF(field, row.reshape(n, n))
-
-
-def _gram_operator_vector(field, mats, h, rng):
+def _gram_operator_vector(field, stack, h, rng):
     """(mu, x) with Psi x = mu x for Psi = G2^{-1} Gamma on coefficient space.
 
-    Gamma(i,j) = Tr(M_i M_j), G2(i,j) = Tr(M_i h M_j h); mu is the unique
-    simple nonzero F_q-eigenvalue of Psi.  None when G2 is singular, no such
-    eigenvalue exists, or it is not unique among the simple nonzero ones.
+    Gamma(i,j) = Tr(M_i M_j), G2(i,j) = Tr(M_i h M_j h) over the matrices M_i
+    of `stack`; mu is the unique simple nonzero F_q-eigenvalue of Psi.  None
+    when G2 is singular, no such eigenvalue exists, or it is not unique among
+    the simple nonzero ones.
     """
     ops = field.ops
-    flat = np.stack([M.a.reshape(-1) for M in mats], axis=0)
-    flat_t = np.stack([M.T.a.reshape(-1) for M in mats], axis=0)
-    Gamma = ops.matmul(flat, flat_t.T)
-    hMh_t = np.stack([(h @ M @ h).T.a.reshape(-1) for M in mats], axis=0)
-    G2 = ops.matmul(flat, hMh_t.T)
+    Gamma = trace_gram(field, stack, stack)
+    G2 = trace_gram(field, stack, ops.matmul(ops.matmul(h.a, stack), h.a))
     G2inv, d = inverse_det(MatGF(field, G2))
     if d == 0:
         return None
@@ -502,15 +478,14 @@ def _kernel_code_side(field, kernel_vecs, n, rng):
     A1, A1inv = first
     # extend A_1 to an ordered basis by the echelon basis elements that keep
     # independence
-    stack = [A1.a.reshape(-1)]
+    ech = Echelon(field, n * n)
+    ech.add(A1.a.reshape(-1))
     rest = []
     for M in mats:
-        trial = np.stack(stack + [M.a.reshape(-1)], axis=0)
-        if len(rref(field, trial)[1]) == len(stack) + 1:
-            stack.append(M.a.reshape(-1))
-            rest.append(M)
-        if len(stack) == c:
+        if ech.rank == c:
             break
+        if ech.add(M.a.reshape(-1)):
+            rest.append(M)
     reduced = tuple(A1inv @ M for M in rest)
     if len(reduced) == 0:
         scalars = (n == 1)

@@ -106,24 +106,28 @@ def reassemble(field: FieldSpec, mats: list, direction: str) -> Tensor3:
 # group actions
 
 
-def _mode_product(field: FieldSpec, arr: np.ndarray, M: MatGF, axis: int) -> np.ndarray:
-    """Contract arr along `axis`: out[.., i, ..] = sum_j M(i,j) * arr[.., j, ..]."""
+def mode_product(field: FieldSpec, arr: np.ndarray, M: np.ndarray, axis: int) -> np.ndarray:
+    """Contract arr along `axis`: out[.., i, ..] = sum_j M(i,j) * arr[.., j, ..].
+
+    With a 1 x k coefficient row and axis 0 this is the linear combination
+    sum_j M(0,j) * arr[j] of a stack of k matrices.
+    """
     a = np.moveaxis(arr, axis, 0)
     head = a.shape[0]
-    if M.cols != head:
+    if M.shape[1] != head:
         raise ShapeMismatch("mode product shape mismatch")
     flat = a.reshape(head, -1)
-    out = field.ops.matmul(M.a, flat)
-    out = out.reshape((M.rows,) + a.shape[1:])
+    out = field.ops.matmul(M, flat)
+    out = out.reshape((M.shape[0],) + a.shape[1:])
     return np.moveaxis(out, 0, axis)
 
 
 def act3(A: Tensor3, L: MatGF, R: MatGF, T: MatGF) -> Tensor3:
     """b_{ijk} = sum l_{i,i'} r_{j,j'} t_{k,k'} a_{i'j'k'}."""
     field = A.field
-    out = _mode_product(field, A.a, L, 0)
-    out = _mode_product(field, out, R, 1)
-    out = _mode_product(field, out, T, 2)
+    out = mode_product(field, A.a, L.a, 0)
+    out = mode_product(field, out, R.a, 1)
+    out = mode_product(field, out, T.a, 2)
     return Tensor3(field, out)
 
 
@@ -157,10 +161,10 @@ def act_code_conj(A: Tensor3, S: MatGF, T: MatGF) -> Tensor3:
 def act4(A: Tensor4, L: MatGF, R: MatGF, S: MatGF, T: MatGF) -> Tensor4:
     """b_{ijkl} = sum l_{i,i'} r_{j,j'} s_{k,k'} t_{l,l'} a_{i'j'k'l'}."""
     field = A.field
-    out = _mode_product(field, A.a, L, 0)
-    out = _mode_product(field, out, R, 1)
-    out = _mode_product(field, out, S, 2)
-    out = _mode_product(field, out, T, 3)
+    out = mode_product(field, A.a, L.a, 0)
+    out = mode_product(field, out, R.a, 1)
+    out = mode_product(field, out, S.a, 2)
+    out = mode_product(field, out, T.a, 3)
     return Tensor4(field, out)
 
 

@@ -250,17 +250,28 @@ def test_selftest(capsys):
     assert "checks passed" in out
 
 
-def test_closed_stdout_ends_quietly():
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_to_closed_pipe(*argv):
     # the reader of the pipe is gone before anything is written, as after `| head`
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     r, w = os.pipe()
     os.close(r)
     try:
-        proc = subprocess.run([sys.executable, "-m", "tiso.cli", "rmt", "exact", "alpha",
-                               "--n", "3", "--q", "5"], stdout=w, stderr=subprocess.PIPE,
+        return subprocess.run([sys.executable, *argv], stdout=w, stderr=subprocess.PIPE,
                               env=env, timeout=120)
     finally:
         os.close(w)
+
+
+def test_closed_stdout_ends_quietly():
+    proc = run_to_closed_pipe("-m", "tiso.cli", "rmt", "exact", "alpha", "--n", "3", "--q", "5")
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == b""
+
+
+def test_script_on_closed_stdout_ends_quietly():
+    proc = run_to_closed_pipe(os.path.join(ROOT, "scripts", "stage_gates.py"), "--trials", "100")
     assert proc.returncode == EXIT_OK
     assert proc.stderr == b""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiso.codes import (MatrixCode, code_from_matrices, code_from_slices,
-                        gram_trace_form, hull)
+                        gram_trace_form, hull, trace_gram)
 from tiso.errors import Singular
 from tiso.gf import field_create
 from tiso.matgf import (MatGF, identity, inverse_det, random_invertible,
@@ -73,6 +73,19 @@ def test_gram_matrix_entries():
     for i in range(C.dim):
         for j in range(C.dim):
             assert int(G.a[i, j]) == trace(basis[i] @ basis[j])
+
+
+@pytest.mark.parametrize("pm", [(5, 1), ((1 << 31) - 1, 1), (2, 8), (5, 7)], ids=str)
+def test_trace_gram_of_two_stacks(pm):
+    field = field_create(*pm)
+    rng = np.random.default_rng(sum(pm))
+    X = rng.integers(0, field.q, size=(3, 4, 4), dtype=np.int64)
+    Y = rng.integers(0, field.q, size=(2, 4, 4), dtype=np.int64)
+    G = trace_gram(field, X, Y)
+    assert G.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            assert int(G[i, j]) == trace(MatGF(field, X[i]) @ MatGF(field, Y[j]))
 
 
 def test_hull_elements_are_self_orthogonal_to_code():

@@ -91,6 +91,16 @@ def test_linear_factor_part_strips_irreducible_part():
     assert sorted(lam for lam, _ in roots_in_Fq(f)) == [1, 2]
 
 
+@pytest.mark.parametrize("field", [F5, F8, field_create((1 << 31) - 1)], ids=repr)
+def test_linear_factor_part_of_a_linear_polynomial_is_it_made_monic(field):
+    t = poly(field, [0, 1])
+    for c0, c1 in ((0, 1), (3, 2), (field.q - 1, field.q - 2)):
+        f = poly(field, [c0, c1])
+        by_gcd = poly_gcd(f, poly_sub(powmod(t, field.q, f), t))
+        assert linear_factor_part(f) == by_gcd
+        assert by_gcd.coeffs[-1] == 1
+
+
 def test_powmod_fermat():
     # t^q = t mod (t^q - t) splitting behaviour: t^q mod f has the same
     # roots as t for any f

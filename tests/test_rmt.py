@@ -109,11 +109,14 @@ def test_alpha_formulas():
 # -- censuses ---------------------------------------------------------------
 
 def test_census_one_path_for_prime_and_extension_fields():
-    for n, q in ((2, 3), (2, 4)):
+    # (1, 65537): one linear characteristic polynomial per matrix
+    for n, q in ((2, 3), (2, 4), (1, 65537)):
         rep = rmt.brute_force_census(n, q)
         assert rep.total == q ** (n * n) == sum(rep.counts.values())
         assert rep.alpha() == rmt.alpha(n, q)
         assert rep.alpha_star() == rmt.alpha_star(n, q)
+    assert rep.alpha() == 1
+    assert rep.alpha_star() == Fraction(q - 1, q)
 
 
 # one field per FieldOps backend: small and large primes, log tables, and the

@@ -11,7 +11,7 @@ from tiso.matgf import identity, inverse_det, random_invertible
 from tiso.tensor import (Tensor3, Tensor4, act3, act4, act_algebra,
                          act_code_conj, field_from_q, flatten4, gen_instance,
                          instance_from_json, instance_to_json, kron,
-                         parse_mode, prime_power, reassemble, sample_tensor,
+                         mode_product, parse_mode, prime_power, reassemble, sample_tensor,
                          slices, unflatten4, verify_witness, witness_from_json,
                          witness_to_json)
 
@@ -24,6 +24,20 @@ def _rand3(field, n, seed):
 
 def _rand4(field, n, seed):
     return sample_tensor(field, "t4", (n, n, n, n), np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("pm", [(5, 1), ((1 << 31) - 1, 1), (2, 8), (5, 7)], ids=str)
+def test_mode_product_row_is_the_linear_combination(pm):
+    field = field_create(*pm)
+    ops = field.ops
+    rng = np.random.default_rng(sum(pm))
+    stack = rng.integers(0, field.q, size=(5, 3, 3), dtype=np.int64)
+    coeffs = rng.integers(0, field.q, size=5)
+    coeffs[1] = 0
+    acc = ops.zeros((3, 3))
+    for c, M in zip(coeffs, stack):
+        acc = ops.add(acc, ops.mul(M, int(c)))
+    assert (mode_product(field, stack, coeffs[None], 0)[0] == acc).all()
 
 
 def test_slices_reassemble_round_trip():
