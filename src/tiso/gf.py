@@ -5,9 +5,9 @@ is the coefficient vector (low-to-high) of the residue-class polynomial.
 For prime fields (m = 1) this is just the usual integer residue.
 
 A :class:`FieldSpec` carries the scalar arithmetic; :class:`FieldOps`
-(``spec.ops``) exposes vectorized counterparts on int64 numpy arrays, for
-every field, used by the dense linear-algebra layer.  `field_create` checks
-a modulus with :mod:`tiso.poly` over the prime field F_p.
+(``spec.ops``) exposes vectorized counterparts on int64 arrays (base-p digit
+planes over extension fields) for the dense linear-algebra layer.
+`field_create` checks a modulus with :mod:`tiso.poly` over the prime field F_p.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ def _exhaustive_irreducible_check(f: Poly) -> bool:
     """Trial division by every lower-degree monic polynomial (tiny fields)."""
     p = f.field.p
     for d in range(1, f.degree // 2 + 1):
-        for idx in range(p ** d):
-            g = poly(f.field, [idx // p ** i % p for i in range(d)] + [1])
+        for tail in digit_planes(np.arange(p ** d), p, d).T.tolist():
+            g = poly(f.field, tail + [1])
             if poly_divmod(f, g)[1].is_zero():
                 return False
     return True
@@ -142,8 +142,8 @@ class FieldSpec:
         return hash((self.p, self.m, self.modulus))
 
     def __reduce__(self):
-        # pickle the definition only: the cached `ops` may hold a np.frompyfunc
-        # ufunc, which does not pickle, and the tables are rebuilt on demand
+        # pickle the definition only: the cached log tables reach 2^17 int64
+        # entries, and they and `ops` are rebuilt on demand
         return FieldSpec, (self.p, self.m, self.modulus)
 
     def __repr__(self):
@@ -353,15 +353,48 @@ def additive_character(spec: FieldSpec, b: int, a: int) -> complex:
 # vectorized arithmetic
 
 
+def digit_planes(x, base: int, count: int) -> np.ndarray:
+    """The `count` lowest base-`base` digits of the int64 array x, lowest
+    first, on a new leading axis."""
+    t = np.array(x, dtype=np.int64)
+    planes = np.empty((count,) + t.shape, dtype=np.int64)
+    for i in range(count):
+        planes[i] = t % base
+        t //= base
+    return planes
+
+
+def join_digit_planes(planes, base: int):
+    """The integers whose base-`base` digits, lowest first, are `planes`."""
+    return sum(d * base ** i for i, d in enumerate(planes))
+
+
+def _matmul_mod(A, B, p: int):
+    """(A @ B) mod p for int64 entries in [0, p), p < 2^31, exact for every
+    inner dimension k; leading axes of either operand are stack axes."""
+    k = A.shape[-1]
+    if k * (p - 1) ** 2 < (1 << 62):
+        return (A @ B) % p
+    # split B into 16-bit limbs and the inner dimension into chunks of
+    # 2^15: a chunk's dot with either limb stays below 2^62, and with
+    # the reduced high part shifted back and the running sum, below 2^63
+    out = 0
+    for i in range(0, k, 1 << 15):
+        a, b = A[..., i:i + (1 << 15)], B[..., i:i + (1 << 15), :]
+        hi = (a @ (b >> 16)) % p
+        out = (out + (hi << 16) + a @ (b & 0xFFFF)) % p
+    return out
+
+
 class FieldOps:
     """Vectorized (numpy) arithmetic over a FieldSpec.
 
     Arrays hold canonical integer reps as int64 for every field.  Prime fields
     use int64 modular arithmetic: p < 2^31 keeps every product of two reps
     below 2^62, and `matmul` splits B into 16-bit limbs once a dot product
-    could overflow.  Extension fields use log/antilog tables (or scalar
-    `FieldSpec.mul` above the table limit) for multiplication and digitwise
-    addition.
+    could overflow.  Extension fields work on the m base-p digit planes of an
+    array: `matmul`, and `mul` above the log-table limit, fold m^2 prime-field
+    plane products by the modulus; addition is digitwise.
     """
 
     dtype = np.int64
@@ -371,69 +404,71 @@ class FieldOps:
         self.p = spec.p
         self.q = spec.q
         self.prime = spec.m == 1
-        if not self.prime and spec._tables is None:
-            self._mul_ufunc = np.frompyfunc(spec.mul, 2, 1)
-        else:
-            self._mul_ufunc = None
+        if not self.prime:
+            # column s holds the digits of t^s mod the modulus, s < 2m - 1 (t has rep p)
+            self._fold = np.array([spec.digits(_power(spec._mul_slow, spec.p, s, 1))
+                                   for s in range(2 * spec.m - 1)], dtype=np.int64).T
 
     def zeros(self, shape):
         return np.zeros(shape, dtype=np.int64)
 
+    def _digitwise(self, f, *xs):
+        """f applied digit by digit, mod p, to the broadcast arrays xs."""
+        m, p = self.spec.m, self.p
+        planes = [digit_planes(x, p, m) for x in np.broadcast_arrays(*xs)]
+        return join_digit_planes(f(*planes) % p, p)
+
+    def _product(self, x, y, product):
+        """The extension-field product of x and y, where product(a, b, p) is
+        the F_p product (`*` or `_matmul_mod`) of one digit plane a of x with
+        every digit plane of y.  Planes i of x and j of y add into the
+        convolution plane of t^(i+j); the fold maps those 2m - 1 planes to the
+        m digit planes of the product reduced by the modulus."""
+        m, p = self.spec.m, self.p
+        X, Y = digit_planes(x, p, m), digit_planes(y, p, m)
+        # unit axes line the planes of y up with every plane of x
+        Y = Y.reshape((m,) + (1,) * (X.ndim - Y.ndim) + Y.shape[1:])
+        for i in range(m):
+            term = product(X[i], Y, p)
+            if i == 0:
+                conv = np.zeros((2 * m - 1,) + term.shape[1:], dtype=np.int64)
+            conv[i:i + m] += term
+        conv %= p
+        out = _matmul_mod(self._fold, conv.reshape(2 * m - 1, -1), p)
+        return join_digit_planes(out, p).reshape(conv.shape[1:])
+
     def add(self, x, y):
         if self.prime:
             return (x + y) % self.p
-        if self.p == 2:
-            return x ^ y
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.spec.m):
-            out += (((x // pk) + (y // pk)) % self.p) * pk
-            pk *= self.p
-        return out
+        return x ^ y if self.p == 2 else self._digitwise(operator.add, x, y)
 
     def neg(self, x):
         if self.prime:
             return (-x) % self.p
-        if self.p == 2:
-            return np.array(x, copy=True)
-        out = np.zeros(np.asarray(x).shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.spec.m):
-            out += ((-(x // pk)) % self.p) * pk
-            pk *= self.p
-        return out
+        return np.array(x, copy=True) if self.p == 2 else self._digitwise(operator.neg, x)
 
     def sub(self, x, y):
         if self.prime:
             return (x - y) % self.p
-        return self.add(x, self.neg(y))
+        return x ^ y if self.p == 2 else self._digitwise(operator.sub, x, y)
 
     def mul(self, x, y):
         if self.prime:
             return (x * y) % self.p
-        if self._mul_ufunc is not None:
-            return self._mul_ufunc(x, y).astype(np.int64)
+        if self.spec._tables is None:
+            return self._product(x, y, lambda a, b, p: a * b % p)
         log, exp = self.spec._tables
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        xb, yb = np.broadcast_arrays(x, y)
-        out = np.zeros(xb.shape, dtype=np.int64)
-        mask = (xb != 0) & (yb != 0)
-        out[mask] = exp[(log[xb[mask]] + log[yb[mask]]) % (self.q - 1)]
-        return out
+        x, y = np.broadcast_arrays(x, y)
+        # log[0] is a placeholder; products with a zero factor are zero
+        return np.where((x != 0) & (y != 0), exp[(log[x] + log[y]) % (self.q - 1)], 0)
 
     def sum(self, x, axis=None):
         """Field sum of the entries of x along axis (all entries by default)."""
-        x = np.asarray(x, dtype=np.int64)
         if self.prime:
             # reps are below 2^31, so up to 2^32 of them sum without overflow
-            return x.sum(axis=axis) % self.p
-        out = 0
-        pk = 1
-        for _ in range(self.spec.m):
-            out = out + (x // pk % self.p).sum(axis=axis) % self.p * pk
-            pk *= self.p
-        return out
+            return np.asarray(x, dtype=np.int64).sum(axis=axis) % self.p
+        planes = digit_planes(x, self.p, self.spec.m)
+        return join_digit_planes([d.sum(axis=axis) % self.p for d in planes], self.p)
 
     def scalar_inv(self, a: int) -> int:
         return self.spec.inv(int(a))
@@ -445,28 +480,4 @@ class FieldOps:
 
     def matmul(self, A, B):
         """A @ B; leading axes of either operand are stack axes, as in numpy."""
-        if self.prime:
-            p = self.p
-            k = A.shape[-1]
-            if k * (p - 1) ** 2 < (1 << 62):
-                return (A @ B) % p
-            # split B into 16-bit limbs and the inner dimension into chunks of
-            # 2^15: a chunk's dot with either limb stays below 2^62, and with
-            # the reduced high part shifted back and the running sum, below 2^63
-            out = 0
-            for i in range(0, k, 1 << 15):
-                a, b = A[..., i:i + (1 << 15)], B[..., i:i + (1 << 15), :]
-                hi = (a @ (b >> 16)) % p
-                out = (out + (hi << 16) + a @ (b & 0xFFFF)) % p
-            return out
-        # extension field: accumulate rank-1 outer products with field ops
-        A = np.asarray(A)
-        B = np.asarray(B)
-        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
-        out = np.zeros(shape, dtype=np.int64)
-        for k in range(A.shape[-1]):
-            col = A[..., :, k]
-            if not col.any():
-                continue
-            out = self.add(out, self.mul(col[..., :, None], B[..., None, k, :]))
-        return out
+        return _matmul_mod(A, B, self.p) if self.prime else self._product(A, B, _matmul_mod)

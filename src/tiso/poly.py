@@ -148,8 +148,8 @@ def powmod(base: Poly, e: int, modulus: Poly) -> Poly:
 def linear_factor_part(f: Poly) -> Poly:
     """gcd(f, t^q - t): the product of (t - lambda) over distinct F_q-roots."""
     F = f.field
-    if f.degree == 1:
-        # a linear f divides t^q - t, so the gcd is f made monic
+    if f.degree in (0, 1):
+        # a linear f divides t^q - t, a constant is a unit: the gcd is f made monic
         return poly_scale(f, F.inv(f.coeffs[-1]))
     t = poly(F, [0, 1])
     tq = powmod(t, F.q, f)

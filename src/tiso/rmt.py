@@ -31,7 +31,7 @@ import numpy as np
 from .codes import code_from_matrices, hull
 from .conj import generates_full_algebra
 from .errors import BadParams, InvariantViolation, NonIntegralCount, TooLarge
-from .gf import FieldSpec, additive_character
+from .gf import FieldSpec, additive_character, digit_planes, join_digit_planes
 from .matgf import (random_matrix, rref, trace_of_square, trace_of_square_stack,
                     unique_simple_eigenvalue)
 from .poly import Poly, poly, poly_divmod, poly_eval, poly_mul, roots_in_Fq
@@ -627,11 +627,9 @@ def _census_chunks(q: int, n: int):
     total = q ** (n * n)
     if total > CENSUS_LIMIT:
         raise TooLarge(f"census size q^(n^2) = {total} exceeds {CENSUS_LIMIT}")
-    powers = q ** np.arange(n * n, dtype=np.int64)
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % q
-        yield digits.reshape(-1, n, n)
+        digits = digit_planes(np.arange(start, min(start + chunk, total)), q, n * n)
+        yield np.moveaxis(digits.reshape(n, n, -1), -1, 0)
 
 
 def _stack_det(ops, E: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
@@ -689,15 +687,13 @@ def brute_force_census(n: int, q: int) -> CensusReport:
     if n < 1:
         raise BadParams("n must be >= 1")
     field = field_from_q(q)
-    powers = q ** np.arange(n + 1, dtype=np.int64)
     profiles: dict = {}  # charpoly coefficients c_0..c_{n-1} -> eigen-profile
     counts: dict = {}
     for D in _census_chunks(q, n):
         cols = _stack_charpoly(field, D)
         cols[:, n] = trace_of_square_stack(field, D)  # in place of the monic 1
-        keys, cnt = np.unique(cols @ powers, return_counts=True)
-        for key, c in zip(keys.tolist(), cnt.tolist()):
-            digits = [key // q ** i % q for i in range(n + 1)]
+        keys, cnt = np.unique(join_digit_planes(cols.T, q), return_counts=True)
+        for digits, c in zip(digit_planes(keys, q, n + 1).T.tolist(), cnt.tolist()):
             cp = tuple(digits[:n])
             sig = profiles.get(cp)
             if sig is None:

@@ -23,6 +23,7 @@ from .errors import (BadParams, InvariantViolation, NotSimpleEigenvalue,
 from .codes import code_from_slices, hull, trace_gram
 from .conj import (FULL_SYSTEM_MAX_N, Echelon, centralizer_is_scalars, conj_coset,
                    conj_with_seed, intertwiner_space)
+from .gf import digit_planes
 from .matgf import (MatGF, eigen_profile, identity, inverse_det, right_kernel,
                     rref_rank_kernel, rref_stack, solve_linear,
                     unique_simple_eigenvalue, primary_split_basis)
@@ -370,16 +371,6 @@ def _chunks(start, stop, size, first):
         lo, step = hi, min(2 * step, size)
 
 
-def _base_q_digits(lo, hi, q, width):
-    """Row r holds the `width` base-q digits of lo + r, lowest first."""
-    t = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((len(t), width), dtype=np.int64)
-    for i in range(width):
-        out[:, i] = t % q
-        t //= q
-    return out
-
-
 def _invert_stack(field, M):
     """(invertible mask, inverses) of a (k, n, n) stack from one rref of [M | I]."""
     n = M.shape[-1]
@@ -424,7 +415,8 @@ def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats, rng
     seen = set()
     size = max(1, _T4_CHUNK_CELLS // (c * n ** 4))
     for lo, hi in _chunks(0, total, size, size):
-        coeffs = _base_q_digits(lo, hi, q, c * c).reshape(-1, c, c)
+        # row r holds the base-q digits of lo + r, lowest first
+        coeffs = digit_planes(np.arange(lo, hi), q, c * c).T.reshape(-1, c, c)
         bases = rref_stack(field, coeffs)[1] == c
         B = ops.matmul(coeffs[bases], flat).reshape(-1, c, n, n)
         ok, B1inv = _invert_stack(field, B[:, 0])
@@ -466,7 +458,7 @@ def _kernel_code_side(field, kernel_vecs, n, rng):
     first = None
     # the scan stops at the first hit, so small chunks come first
     for lo, hi in _chunks(1, q ** c, max(1, _T4_CHUNK_CELLS // (2 * n * n)), 8):
-        coeffs = _base_q_digits(lo, hi, q, c)
+        coeffs = digit_planes(np.arange(lo, hi), q, c).T
         X = field.ops.matmul(coeffs, flat).reshape(-1, n, n)
         ok, Xinv = _invert_stack(field, X)
         if ok.any():

@@ -254,7 +254,7 @@ def test_generator_and_tables_are_stable(pm):
 def test_field_pickles_after_use(pm):
     spec = field_create(*pm)
     x = np.arange(1, 50, dtype=np.int64)
-    inv = spec.ops.inv(x)  # caches ops (a frompyfunc ufunc for GF(5^7))
+    inv = spec.ops.inv(x)  # caches ops, and the log tables for GF(2^8)
     back = pickle.loads(pickle.dumps(spec))
     assert back == spec and back.to_json() == spec.to_json()
     assert (back.ops.inv(x) == inv).all()
@@ -270,10 +270,13 @@ def test_large_prime_field():
 
 
 # both sides of 2^25 (where a 4096-term dot product stops fitting in 2^62),
-# the largest prime, and extension fields with and without log tables
+# the largest prime, and extension fields with and without log tables; over
+# GF((2^31-1)^2) the digit-plane products and the fold (inner dimension
+# 2m - 1 = 3) take the limb split
 PROPERTY_FIELDS = [field_create(33554393), field_create(33554467),
                    field_create((1 << 31) - 1), field_create(2, 8),
-                   field_create(3, 5), field_create(5, 7)]
+                   field_create(3, 5), field_create(5, 7),
+                   field_create((1 << 31) - 1, 2)]
 
 
 def _dot(spec, row, col):
@@ -320,3 +323,14 @@ def test_prime_matmul_exact_at_the_overflow_limit(p, k):
     B = rng.integers(0, p, size=(k, 2))
     ref = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in B.T] for row in A]
     assert ops.matmul(A, B).tolist() == ref
+
+
+@pytest.mark.parametrize("k", [3, 4, 64])
+def test_extension_matmul_exact_with_the_largest_digits(k):
+    # every digit of q - 1 is p - 1, so over GF((2^31-1)^2) a digit-plane
+    # product reaches k (p-1)^2, past 2^63 from k = 3 without the limb split
+    spec = field_create((1 << 31) - 1, 2)
+    top = spec.q - 1
+    A = np.full((2, k), top, dtype=np.int64)
+    B = np.full((k, 3), top, dtype=np.int64)
+    assert (spec.ops.matmul(A, B) == _dot(spec, [top] * k, [top] * k)).all()
