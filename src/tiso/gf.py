@@ -7,7 +7,8 @@ For prime fields (m = 1) this is just the usual integer residue.
 A :class:`FieldSpec` carries the scalar arithmetic; :class:`FieldOps`
 (``spec.ops``) exposes vectorized counterparts on int64 arrays (base-p digit
 planes over extension fields) for the dense linear-algebra layer.
-`field_create` checks a modulus with :mod:`tiso.poly` over the prime field F_p.
+`field_create` checks a modulus, and `FieldSpec.inv` inverts above the log-table
+limit, with :mod:`tiso.poly` over the prime field F_p.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     NotPrime,
     ReducibleModulus,
 )
-from .poly import Poly, poly, poly_divmod, poly_eval, poly_gcd, poly_sub, powmod
+from .poly import Poly, poly, poly_divmod, poly_eval, poly_gcd, poly_invmod, poly_sub, powmod
 
 _MAX_P = 1 << 31
 _MAX_Q = 1 << 62
@@ -236,7 +237,9 @@ class FieldSpec:
         if tab is not None:
             log, exp = tab
             return int(exp[(-log[a]) % (self.q - 1)])
-        return self.pow(a, self.q - 2)
+        # extended Euclid on the digit polynomial of a, modulo the modulus over F_p
+        Fp = FieldSpec(self.p, 1, ())
+        return self.from_digits(poly_invmod(poly(Fp, self.digits(a)), poly(Fp, self.modulus)).coeffs)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -474,9 +477,13 @@ class FieldOps:
         return self.spec.inv(int(a))
 
     def inv(self, x):
-        """Elementwise inverse x^(q-2) by square-and-multiply; zero maps to zero."""
+        """Elementwise inverse, one table lookup on log-table fields and
+        x^(q-2) by square-and-multiply otherwise; zero maps to zero."""
         x = np.asarray(x, dtype=np.int64)
-        return _power(self.mul, x, self.q - 2, np.ones_like(x)) * (x != 0)
+        if self.spec._tables is None:
+            return _power(self.mul, x, self.q - 2, np.ones_like(x)) * (x != 0)
+        log, exp = self.spec._tables
+        return np.where(x != 0, exp[(-log[x]) % (self.q - 1)], 0)
 
     def matmul(self, A, B):
         """A @ B; leading axes of either operand are stack axes, as in numpy."""

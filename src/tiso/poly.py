@@ -1,15 +1,19 @@
 """Univariate polynomials over F_q and F_q-root extraction.
 
 Coefficients are canonical field reps, low-to-high, trailing zeros stripped.
-Root finding isolates the linear-factor part via gcd(f, t^q - t).  A
-linear part of degree 1 gives its root directly; a larger one is evaluated
-exhaustively (q <= 2^12) or split by randomized equal-degree splitting by
-quadratic residues.  That split needs odd q, which always holds there:
-`gf.field_create` caps the extension degree at 8, so every field of
-characteristic 2 has q <= 2^8 and takes the exhaustive path.
+Root finding isolates the linear-factor part via gcd(f, t^q - t), with
+t^q mod f from `powmod`, which works on int64 coefficient vectors: each
+modular product is two `FieldOps` matrix products, one by a Toeplitz array
+of a factor and one by a reduction matrix of f.  A linear part of degree 1
+gives its root directly; a larger one is evaluated exhaustively (q <= 2^12)
+or split by randomized equal-degree splitting by quadratic residues.  That
+split needs odd q, which always holds there: `gf.field_create` caps the
+extension degree at 8, so every field of characteristic 2 has q <= 2^8 and
+takes the exhaustive path.
 
-`tiso.gf` tests its moduli for irreducibility with this module over F_p, so
-this module must not import `tiso.gf` at run time.
+`tiso.gf` tests its moduli for irreducibility and inverts extension-field
+elements with this module over F_p, so this module must not import `tiso.gf`
+at run time; it reaches the array arithmetic through a field's `ops`.
 """
 
 from __future__ import annotations
@@ -123,6 +127,32 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f
 
 
+def poly_invmod(a: Poly, f: Poly) -> Poly:
+    """The inverse of a modulo f by the extended Euclidean algorithm, on
+    coefficient lists: each leading-term step on the remainders r0, r1
+    repeats on the cofactors s0, s1, which keep s * a = r mod f."""
+    _same_field(a, f)
+    F = f.field
+    r0, r1 = list(f.coeffs), list(a.coeffs)
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        inv_lead = F.inv(r1[-1])
+        s = s0 + [0] * max(0, len(r0) - len(r1) + len(s1) - len(s0))
+        while len(r0) >= len(r1):
+            c = F.mul(r0[-1], inv_lead)
+            k = len(r0) - len(r1)
+            for j, b in enumerate(r1):
+                r0[k + j] = F.sub(r0[k + j], F.mul(c, b))
+            for j, b in enumerate(s1):
+                s[k + j] = F.sub(s[k + j], F.mul(c, b))
+            while r0 and r0[-1] == 0:
+                r0.pop()
+        r0, r1, s0, s1 = r1, r0, s1, s
+    if not r1:
+        raise DivideByZero("polynomial not invertible modulo f")
+    return poly_scale(poly(F, s1), F.inv(r1[0]))
+
+
 def poly_eval(f: Poly, a: int) -> int:
     F = f.field
     acc = 0
@@ -131,18 +161,52 @@ def poly_eval(f: Poly, a: int) -> int:
     return acc
 
 
+def _reduction_matrix(f: Poly) -> np.ndarray:
+    """The (2d - 1) x d array whose row j holds the coefficients of t^j mod f,
+    d = deg f >= 1: the identity, then d - 1 shifts by t that each subtract
+    the carried t^d term as a multiple of the made-monic f."""
+    F, d = f.field, f.degree
+    ops = F.ops
+    tail = ops.mul(np.array(f.coeffs[:-1], dtype=np.int64), F.inv(f.coeffs[-1]))
+    T = ops.zeros((2 * d - 1, d))
+    T[np.arange(d), np.arange(d)] = 1
+    for j in range(d, 2 * d - 1):
+        T[j, 1:] = T[j - 1, :-1]
+        T[j] = ops.sub(T[j], ops.mul(tail, T[j - 1, -1]))
+    return T
+
+
 def powmod(base: Poly, e: int, modulus: Poly) -> Poly:
+    """base^e mod modulus by square-and-multiply on int64 coefficient vectors.
+
+    Each step is two `FieldOps.matmul` calls.  Stacking acc (when the bit of
+    e is set) and b (when higher bits remain) against the d x (2d - 1)
+    Toeplitz array of b gives their full products with b; the reduction
+    matrix of the modulus takes those to degree < d = deg modulus.
+    """
     if modulus.degree < 1:
         raise DivideByZero("powmod modulus must be nonconstant")
-    F = base.field
-    acc = poly(F, [1])
-    b = poly_divmod(base, modulus)[1]
+    F, d = base.field, modulus.degree
+    ops = F.ops
+    T = _reduction_matrix(modulus)
+    b = np.zeros(d, dtype=np.int64)
+    low = poly_divmod(base, modulus)[1].coeffs
+    b[:len(low)] = low
+    acc = np.zeros(d, dtype=np.int64)
+    acc[0] = 1
+    # entry (i, j) of the Toeplitz array of b is b[j - i], zero off the band
+    shift = np.arange(2 * d - 1)[None, :] - np.arange(d)[:, None]
+    band, shift = (shift >= 0) & (shift < d), shift.clip(0, d - 1)
     while e:
+        rows = ([acc] if e & 1 else []) + ([b] if e > 1 else [])
+        toeplitz = np.where(band, b[shift], 0)
+        out = ops.matmul(ops.matmul(np.stack(rows), toeplitz), T)
         if e & 1:
-            acc = poly_divmod(poly_mul(acc, b), modulus)[1]
-        b = poly_divmod(poly_mul(b, b), modulus)[1]
+            acc = out[0]
+        if e > 1:
+            b = out[-1]
         e >>= 1
-    return acc
+    return poly(F, acc.tolist())
 
 
 def linear_factor_part(f: Poly) -> Poly:

@@ -260,6 +260,23 @@ def test_field_pickles_after_use(pm):
     assert (back.ops.inv(x) == inv).all()
 
 
+@pytest.mark.parametrize("pm", [(5, 7), ((1 << 31) - 1, 2)], ids=str)
+def test_inverse_above_the_table_limit_is_fermat(pm):
+    spec = field_create(*pm)
+    rng = np.random.default_rng(13)
+    for a in [1, spec.p, spec.q - 1] + [int(x) for x in rng.integers(1, spec.q, 40)]:
+        inv = spec.inv(a)
+        assert inv == spec.pow(a, spec.q - 2)
+        assert spec.mul(a, inv) == 1
+
+
+@pytest.mark.parametrize("pm", [(2, 2), (2, 8), (3, 5)], ids=str)
+def test_array_inverse_on_log_table_fields(pm):
+    spec = field_create(*pm)
+    x = np.arange(spec.q, dtype=np.int64)
+    assert spec.ops.inv(x).tolist() == [0] + [spec.inv(a) for a in range(1, spec.q)]
+
+
 def test_large_prime_field():
     p = (1 << 20) + 7
     spec = field_create(p)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from tiso.errors import DivideByZero, ZeroPolynomial
 from tiso.gf import field_create
 from tiso.poly import (linear_factor_part, poly, poly_add, poly_divmod,
-                       poly_eval, poly_gcd, poly_mul, poly_sub, powmod,
-                       roots_in_Fq)
+                       poly_eval, poly_gcd, poly_invmod, poly_mul, poly_sub,
+                       powmod, roots_in_Fq)
 
 F5 = field_create(5)
 F8 = field_create(2, 3)
@@ -111,6 +111,72 @@ def test_powmod_fermat():
     for a in F5.elements():
         if poly_eval(f, a) == 0:
             assert poly_eval(tq, a) == a
+
+
+def _powmod_oracle(base, e, modulus):
+    """base^e mod modulus by scalar square-and-multiply on `Poly` values,
+    the loop that `powmod` replaced."""
+    acc = poly(base.field, [1])
+    b = poly_divmod(base, modulus)[1]
+    while e:
+        if e & 1:
+            acc = poly_divmod(poly_mul(acc, b), modulus)[1]
+        b = poly_divmod(poly_mul(b, b), modulus)[1]
+        e >>= 1
+    return acc
+
+
+# small, mid and largest primes (the last takes the limb-split matmul), a
+# log-table field of each characteristic, and one above the table limit
+POWMOD_FIELDS = [F5, field_create((1 << 20) + 7), field_create((1 << 31) - 1),
+                 field_create(2, 8), field_create(3, 5), field_create(5, 7)]
+POWMOD_EXPONENTS = {"0": lambda q: 0, "1": lambda q: 1, "2": lambda q: 2,
+                    "q": lambda q: q, "(q-1)/2": lambda q: (q - 1) // 2,
+                    "q^2": lambda q: q * q}
+
+
+@given(data=st.data(), field=st.sampled_from(POWMOD_FIELDS), d=st.integers(1, 64),
+       e=st.sampled_from(sorted(POWMOD_EXPONENTS)))
+@settings(max_examples=40, deadline=None)
+def test_powmod_matches_the_scalar_oracle(data, field, d, e):
+    coeff = st.integers(0, field.q - 1)
+    # a non-monic modulus of degree d and a base of degree up to 2d + 1
+    lead = data.draw(st.integers(1, field.q - 1))
+    f = poly(field, data.draw(st.lists(coeff, min_size=d, max_size=d)) + [lead])
+    base = poly(field, data.draw(st.lists(coeff, min_size=0, max_size=2 * d + 2)))
+    exponent = POWMOD_EXPONENTS[e](field.q)
+    assert powmod(base, exponent, f) == _powmod_oracle(base, exponent, f)
+
+
+@pytest.mark.parametrize("field", POWMOD_FIELDS, ids=repr)
+def test_powmod_of_a_base_above_the_modulus_degree(field):
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 8, 16):
+        f = poly(field, [int(c) for c in rng.integers(0, field.q, d)] + [field.q - 1])
+        base = poly(field, [int(c) for c in rng.integers(0, field.q, 2 * d + 2)] + [1])
+        for e in (0, 1, 2, field.q):
+            assert powmod(base, e, f) == _powmod_oracle(base, e, f)
+
+
+@pytest.mark.parametrize("modulus", [[], [3]], ids=["zero", "constant"])
+def test_powmod_modulus_must_be_nonconstant(modulus):
+    with pytest.raises(DivideByZero):
+        powmod(poly(F5, [0, 1]), 5, poly(F5, modulus))
+
+
+@pytest.mark.parametrize("field", [F5, F8, field_create((1 << 31) - 1)], ids=repr)
+def test_poly_invmod_inverts_modulo_f(field):
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        f = poly(field, [int(c) for c in rng.integers(0, field.q, rng.integers(1, 7))] + [1])
+        a = poly(field, [int(c) for c in rng.integers(0, field.q, rng.integers(0, 10))])
+        if a.is_zero() or poly_gcd(a, f).degree > 0:
+            with pytest.raises(DivideByZero):
+                poly_invmod(a, f)
+            continue
+        inv = poly_invmod(a, f)
+        assert inv.degree < f.degree
+        assert poly_divmod(poly_mul(a, inv), f)[1] == poly(field, [1])
 
 
 def test_large_field_randomized_splitting():
