@@ -374,8 +374,15 @@ def join_digit_planes(planes, base: int):
 
 def _matmul_mod(A, B, p: int):
     """(A @ B) mod p for int64 entries in [0, p), p < 2^31, exact for every
-    inner dimension k; leading axes of either operand are stack axes."""
+    inner dimension k; leading axes of either operand are stack axes.
+
+    The tier follows the largest partial sum, k (p-1)^2.  Below 2^53 the
+    product is one float64 (BLAS) matmul: every partial sum is an integer
+    that float64 holds exactly, in any summation order.  Below 2^62 it is
+    one int64 matmul, and above that a limb split."""
     k = A.shape[-1]
+    if k * (p - 1) ** 2 < (1 << 53):
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
     if k * (p - 1) ** 2 < (1 << 62):
         return (A @ B) % p
     # split B into 16-bit limbs and the inner dimension into chunks of
@@ -394,8 +401,9 @@ class FieldOps:
 
     Arrays hold canonical integer reps as int64 for every field.  Prime fields
     use int64 modular arithmetic: p < 2^31 keeps every product of two reps
-    below 2^62, and `matmul` splits B into 16-bit limbs once a dot product
-    could overflow.  Extension fields work on the m base-p digit planes of an
+    below 2^62.  `matmul` is one float64 BLAS product while every dot product
+    stays below 2^53, one int64 product below 2^62, and splits B into 16-bit
+    limbs beyond that.  Extension fields work on the m base-p digit planes of an
     array: `matmul`, and `mul` above the log-table limit, fold m^2 prime-field
     plane products by the modulus; addition is digitwise.
     """

@@ -3,11 +3,15 @@
 Matrices wrap int64 numpy arrays of canonical field reps, and every
 arithmetic step on them goes through the field's vectorized
 :class:`tiso.gf.FieldOps`, so everything here is exact for every field.
-`rref`, `det`, `inverse_det` and `solve_linear` share one elimination loop;
-`rref_stack` runs it over a stack of matrices at once.  `right_kernel` takes
-one elimination (`rref_rank_kernel` adds the left kernel), and `solve_linear`
-reads the solutions for many right-hand sides and the kernel off one
-elimination of [A | b].
+`rref`, `det`, `inverse_det` and `solve_linear` share one elimination,
+`_eliminate`.  It is a pivot loop with full-width row operations, except on a
+wide or tall matrix: there the loop runs only on a narrow column window or on
+row blocks, and the bulk of the work is one `FieldOps.matmul` (rank-profile
+elimination after Dumas, Giorgi and Pernet, FFLAS-FFPACK, and Jeannerod,
+Pernet and Storjohann, 2013).  `rref_stack` runs the loop over a stack of
+matrices at once.  `right_kernel` takes one elimination (`rref_rank_kernel`
+adds the left kernel), and `solve_linear` reads the solutions for many
+right-hand sides and the kernel off one elimination of [A | b].
 """
 
 from __future__ import annotations
@@ -103,13 +107,57 @@ def rref(field: FieldSpec, M: np.ndarray):
     return R, pivots
 
 
+# A matrix at least _WIDE times as wide as tall, or _TALL times as tall as
+# wide, takes a rank-profile path of `_eliminate` (kernel rows in
+# BENCH_rref.json).
+_WIDE = 4
+_TALL = 4
+
+
 def _eliminate(field: FieldSpec, M: np.ndarray):
     """(R, pivot_cols, d): `rref` and the signed product of the pivots.
 
     d is the sign of the row swaps times the product of the pivots, taken
     before each is scaled to 1, so it is det(M[:, :rows]) when the pivots
-    are exactly the first `rows` columns.
+    are exactly the first `rows` columns.  The row-block path for tall M,
+    where that cannot happen, returns d = 0.
+
+    A wide M eliminates [M[:, :w] | I] over a window of w = 2 rows columns.
+    When the window holds every pivot, the I block has become the transform
+    E with E M = R, so the other columns are one matmul E M[:, w:]; the
+    pivot loop runs on M only when the window is rank-deficient.  A tall M
+    takes 2 cols rows at a time, from its first row outside the span of the
+    echelon rows R found so far: they are eliminated together with R, and
+    one matmul reduces every later row by R, rest - rest[:, pivots] R.  It
+    stops at full column rank or when no nonzero row is left.  The RREF is
+    unique, so both paths return exactly what the loop would.
     """
+    ops = field.ops
+    M = np.asarray(M, dtype=ops.dtype)
+    rows, cols = M.shape
+    if rows and cols >= _WIDE * rows:
+        w = 2 * rows
+        W, pivots, d = _pivot_loop(field, np.concatenate([M[:, :w], identity(field, rows).a], axis=1))
+        if pivots[-1] < w:
+            return np.concatenate([W[:, :w], ops.matmul(W[:, w:], M[:, w:])], axis=1), pivots, d
+    elif cols and rows >= _TALL * cols:
+        R, pivots, rest = ops.zeros((rows, cols)), [], M
+        while len(pivots) < cols:
+            live = np.flatnonzero(rest.any(axis=1))
+            if not len(live):
+                break
+            end = live[0] + 2 * cols
+            E, pivots, _ = _pivot_loop(field, np.concatenate([R[:len(pivots)], rest[live[0]:end]]))
+            R[:len(pivots)] = E[:len(pivots)]
+            rest = rest[end:]
+            if len(pivots) < cols:
+                rest = ops.sub(rest, ops.matmul(rest[:, pivots], R[:len(pivots)]))
+        return R, pivots, 0
+    return _pivot_loop(field, M)
+
+
+def _pivot_loop(field: FieldSpec, M: np.ndarray):
+    """`_eliminate` by full-width row operations, one pivot column at a time."""
     ops = field.ops
     R = np.array(M, dtype=ops.dtype, copy=True)
     rows, cols = R.shape
@@ -217,7 +265,7 @@ def solve_linear(A: MatGF, b: np.ndarray, side: str = "right"):
     b = np.asarray(b)
     if b.ndim not in (1, 2) or b.shape[0] != A.rows:
         raise ShapeMismatch("rhs length mismatch")
-    rhs = b.reshape(A.rows, -1).astype(A.a.dtype, copy=False)
+    rhs = (b if b.ndim == 2 else b[:, None]).astype(A.a.dtype, copy=False)
     R, pivots = rref(field, np.concatenate([A.a, rhs], axis=1))
     # a pivot in the rhs columns is a row 0 = nonzero: inconsistent
     if pivots and pivots[-1] >= A.cols:

@@ -327,7 +327,12 @@ def test_field_ops_match_scalar_arithmetic(spec, data):
     assert got.tolist() == [[_dot(spec, row, col) for col in zip(*B)] for row in A]
 
 
-@pytest.mark.parametrize("p, k", [(33554393, 4096), (33554393, 4097), ((1 << 31) - 1, 2),
+# each side of the float64 tier's limit k (p-1)^2 < 2^53 (k = 8191 / 8192 at
+# 2^20 + 7, 8 / 9 just below 2^25), of the int64 limit 2^62 (4096 / 4097), and
+# the limb split near 2^31
+@pytest.mark.parametrize("p, k", [((1 << 20) + 7, 8191), ((1 << 20) + 7, 8192),
+                                  (33554393, 8), (33554393, 9),
+                                  (33554393, 4096), (33554393, 4097), ((1 << 31) - 1, 2),
                                   ((1 << 31) - 1, 3), ((1 << 31) - 1, (1 << 15) + 1)])
 def test_prime_matmul_exact_at_the_overflow_limit(p, k):
     ops = field_create(p).ops
@@ -335,6 +340,10 @@ def test_prime_matmul_exact_at_the_overflow_limit(p, k):
     A = np.full((2, 2, k), p - 1, dtype=np.int64)
     B = np.full((k, 3), p - 1, dtype=np.int64)
     assert (ops.matmul(A, B) == k * (p - 1) ** 2 % p).all()
+    # (p-1)^2 is even, so those sums stay exact in float64 a little past 2^53;
+    # one odd term (p-2)^2 makes the sum odd, which float64 cannot hold there
+    A[..., 0], B[0] = p - 2, p - 2
+    assert (ops.matmul(A, B) == ((k - 1) * (p - 1) ** 2 + (p - 2) ** 2) % p).all()
     rng = np.random.default_rng(k)
     A = rng.integers(p - (1 << 12), p, size=(2, k))
     B = rng.integers(0, p, size=(k, 2))
@@ -344,10 +353,31 @@ def test_prime_matmul_exact_at_the_overflow_limit(p, k):
 
 @pytest.mark.parametrize("k", [3, 4, 64])
 def test_extension_matmul_exact_with_the_largest_digits(k):
-    # every digit of q - 1 is p - 1, so over GF((2^31-1)^2) a digit-plane
-    # product reaches k (p-1)^2, past 2^63 from k = 3 without the limb split
-    spec = field_create((1 << 31) - 1, 2)
-    top = spec.q - 1
-    A = np.full((2, k), top, dtype=np.int64)
-    B = np.full((k, 3), top, dtype=np.int64)
-    assert (spec.ops.matmul(A, B) == _dot(spec, [top] * k, [top] * k)).all()
+    # every digit of q - 1 is p - 1, so a digit-plane product reaches k (p-1)^2:
+    # past 2^63 from k = 3 over GF((2^31-1)^2) without the limb split, and on
+    # the float64 tier over GF(2^8) and GF(3^5)
+    rng = np.random.default_rng(k)
+    for spec in (field_create((1 << 31) - 1, 2), field_create(2, 8), field_create(3, 5)):
+        top = spec.q - 1
+        A = np.full((2, k), top, dtype=np.int64)
+        B = np.full((k, 3), top, dtype=np.int64)
+        assert (spec.ops.matmul(A, B) == _dot(spec, [top] * k, [top] * k)).all()
+        A = rng.integers(0, spec.q, size=(2, k))
+        B = rng.integers(0, spec.q, size=(k, 2))
+        assert spec.ops.matmul(A, B).tolist() == [[_dot(spec, row, col) for col in B.T.tolist()]
+                                                  for row in A.tolist()]
+
+
+@pytest.mark.parametrize("p", [2, (1 << 20) + 7, 33554393])
+def test_stacked_matmul_exact_on_the_float_tier(p):
+    # the t4 screening shape: G = B_1^-1 B_i for k candidates at once
+    ops = field_create(p).ops
+    k = 40
+    for A, B in [(np.full((k, 1, 3, 3), p - 1), np.full((k, 2, 3, 3), p - 1)),
+                 (np.random.default_rng(p).integers(0, p, size=(k, 1, 3, 3)),
+                  np.random.default_rng(p + 1).integers(0, p, size=(k, 2, 3, 3)))]:
+        got = ops.matmul(A, B)
+        assert got.shape == (k, 2, 3, 3) and got.dtype == np.int64
+        ref = [[[[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in B[i, j].T]
+                 for row in A[i, 0]] for j in range(2)] for i in range(k)]
+        assert got.tolist() == ref

@@ -142,6 +142,119 @@ def _inconsistent(A, side, rng):
             return b
 
 
+def _eliminate_oracle(field, M):
+    """(R, pivots, d) by full-width row operations, one pivot column at a
+    time: the elimination loop every rank-profile path must reproduce."""
+    ops = field.ops
+    R = np.array(M, dtype=ops.dtype, copy=True)
+    rows, cols = R.shape
+    pivots = []
+    d = 1
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+            d = field.neg(d)
+        piv = int(R[r, c])
+        d = field.mul(d, piv)
+        R[r] = ops.mul(R[r], ops.scalar_inv(piv))
+        other = np.nonzero(R[:, c])[0]
+        other = other[other != r]
+        if len(other):
+            R[other] = ops.sub(R[other], ops.mul(R[other, c][:, None], R[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return R, pivots, d
+
+
+def _oracle_solve(A, b):
+    """solve_linear(A, b) (right side, 2-D b) read off the oracle's RREF."""
+    field, n = A.field, A.cols
+    R, pivots, _ = _eliminate_oracle(field, np.concatenate([A.a, b], axis=1))
+    if pivots and pivots[-1] >= n:
+        return None
+    x = field.ops.zeros((n, b.shape[1]))
+    x[pivots] = R[:len(pivots), n:]
+    free = [j for j in range(n) if j not in pivots]
+    kern = field.ops.zeros((len(free), n))
+    kern[np.arange(len(free)), free] = 1
+    kern[:, pivots] = field.ops.neg(R[:len(pivots), free].T)
+    return x, list(kern)
+
+
+def _shaped(field, kind, rng):
+    """A matrix of one of the shapes and rank structures the rank-profile
+    paths of the elimination branch on."""
+    q = field.q
+    a, b = int(rng.integers(1, 7)), int(rng.integers(0, 25))
+    if kind == "wide":
+        M = rng.integers(0, q, size=(a, 4 * a + b))
+    elif kind == "tall":
+        M = rng.integers(0, q, size=(4 * a + b, a))
+    elif kind == "square":
+        M = rng.integers(0, q, size=(a + 2, a + 2))
+    elif kind == "repeated rows":
+        M = rng.integers(0, q, size=(a + 1, 4 * a + b))
+        M[1:] = M[rng.integers(0, a + 1, size=a)]
+    elif kind == "repeated cols":
+        M = rng.integers(0, q, size=(4 * a + b, a + 1))
+        M[:, 1:] = M[:, rng.integers(0, a + 1, size=a)]
+    elif kind == "zero":
+        M = np.zeros((a, 4 * a + b) if rng.integers(2) else (4 * a + b, a), dtype=np.int64)
+    elif kind == "empty":
+        M = np.zeros((0, a) if rng.integers(2) else (a, 0), dtype=np.int64)
+    elif kind == "late window":
+        # full row rank, but the first 2 rows columns (the window) have rank 1
+        M = rng.integers(0, q, size=(a + 1, 4 * (a + 1) + b))
+        M[:, :2 * (a + 1)] = np.outer(np.eye(a + 1, dtype=np.int64)[0], M[0, :2 * (a + 1)])
+        M[:, -(a + 1):] = np.eye(a + 1, dtype=np.int64)
+    else:  # "unsaturated": tall with column rank below cols all the way down
+        low = _low_rank(field, 4 * (a + 1) + b, a + 1, a, rng).a
+        M = low if rng.integers(2) else np.concatenate([low[:, :1] * 0, low[:, 1:]], axis=1)
+    return M.astype(np.int64)
+
+
+SHAPE_KINDS = ["wide", "tall", "square", "repeated rows", "repeated cols", "zero", "empty",
+               "late window", "unsaturated"]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@given(st.sampled_from(SHAPE_KINDS), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_elimination_matches_the_pivot_loop_oracle(field, kind, seed):
+    rng = np.random.default_rng(seed)
+    M = _shaped(field, kind, rng)
+    R, pivots, d = _eliminate_oracle(field, M)
+    got, got_pivots = rref(field, M)
+    assert got.dtype == np.int64 and got.shape == M.shape
+    assert got_pivots == pivots and (got == R).all()
+    A = MatGF(field, M)
+    if M.shape[0] == M.shape[1]:
+        assert det(A) == (d if len(pivots) == len(M) else 0)
+        R2, pivots2, d2 = _eliminate_oracle(field, np.concatenate([M, np.eye(len(M), dtype=np.int64)],
+                                                                  axis=1))
+        inv, d3 = inverse_det(A)
+        if pivots2 == list(range(len(M))):
+            assert d3 == d2 and (inv.a == R2[:, len(M):]).all()
+        else:
+            assert inv is None and d3 == 0
+    # one consistent right-hand side and one that is most likely inconsistent
+    x = rng.integers(0, field.q, size=(M.shape[1], 1))
+    rhs = np.concatenate([field.ops.matmul(M, x), rng.integers(0, field.q, size=(M.shape[0], 1))],
+                         axis=1)
+    for b in (rhs[:, :1], rhs):
+        ref, res = _oracle_solve(A, b), solve_linear(A, b)
+        assert (ref is None) == (res is None)
+        if res is not None:
+            assert (res[0] == ref[0]).all() and _same_basis(res[1], ref[1])
+
+
 def test_inverse_det_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(20):
