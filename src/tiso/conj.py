@@ -5,6 +5,10 @@ its invertible elements form the conjugacy coset.  Alongside the exact
 linear-system route (n^2 unknowns) there is a seeded fast path that
 propagates a single known vector pair through the tuple's Krylov closure,
 which is what makes large-n solves cheap.
+
+Every span question here (does a seed generate F^n under the tuple, is a
+vector cyclic, do two matrices generate M(n, q)) is a rank read off
+`matgf.rref`, so it runs on the library's one elimination, `_eliminate`.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ import numpy as np
 
 from .errors import InvariantViolation, ShapeMismatch
 from .gf import FieldSpec
-from .matgf import MatGF, identity, inverse_det, right_kernel
+from .matgf import MatGF, identity, inverse_det, right_kernel, rref
 from .tensor import as_rng, kron, mode_product
 
 # above this size the dense n^2-unknown system is not attempted
 FULL_SYSTEM_MAX_N = 32
+# random vectors tried per candidate before it is taken to be derogatory
+_CYCLIC_TRIES = 3
 
 
 @dataclass
@@ -90,45 +96,6 @@ def conj_coset(Atuple, Btuple, rng=None) -> ConjCoset:
 
 
 # ---------------------------------------------------------------------------
-# incremental echelon tracking (vectors as 1-D rep arrays)
-
-
-class Echelon:
-    """Echelon basis of a growing span; `add` reports whether a vector was new."""
-
-    def __init__(self, field: FieldSpec, n: int):
-        self.field = field
-        self.n = n
-        self.rows = []  # normalized: leading entry 1
-        self.piv = []
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def _reduce(self, v):
-        ops = self.field.ops
-        v = np.array(v, dtype=ops.dtype, copy=True)
-        for row, p in zip(self.rows, self.piv):
-            c = v[p]
-            if c:
-                v = ops.sub(v, ops.mul(row, int(c)))
-        return v
-
-    def add(self, v) -> bool:
-        """Insert v if independent of the current span; report whether it was."""
-        r = self._reduce(v)
-        nz = np.nonzero(r)[0]
-        if len(nz) == 0:
-            return False
-        j = int(nz[0])
-        r = self.field.ops.mul(r, self.field.ops.scalar_inv(r[j]))
-        self.rows.append(r)
-        self.piv.append(j)
-        return True
-
-
-# ---------------------------------------------------------------------------
 # seeded conjugacy (Krylov propagation)
 
 
@@ -142,25 +109,26 @@ def conj_with_seed(Atuple, Btuple, w, z):
     n = _check_tuples(Atuple, Btuple)
     field = Atuple[0].field
     ops = field.ops
-    w = np.asarray(w, dtype=ops.dtype)
-    z = np.asarray(z, dtype=ops.dtype)
-    ech = Echelon(field, n)
-    if not ech.add(w):
+    X = np.asarray(w, dtype=ops.dtype)[:, None]
+    Y = np.asarray(z, dtype=ops.dtype)[:, None]
+    if not X.any():
         return None, False
-    xs, ys = [w], [z]
-    qi = 0
-    while qi < len(xs) and len(xs) < n:
-        x, y = xs[qi], ys[qi]
-        qi += 1
-        for A, B in zip(Atuple, Btuple):
-            x2 = ops.matmul(A.a, x[:, None])[:, 0]
-            if ech.add(x2):
-                xs.append(x2)
-                ys.append(ops.matmul(B.a, y[:, None])[:, 0])
-    if len(xs) < n:
-        return None, False
-    X = MatGF(field, np.stack(xs, axis=1))
-    Y = MatGF(field, np.stack(ys, axis=1))
+    # the closure grows level by level: the candidates are the images of the
+    # newest vectors, parent by parent and member by member, and the pivot
+    # columns of rref([X | candidates]) past X are the ones a vector-by-vector
+    # greedy pass keeps (the column rank profile)
+    newX, newY = X, Y
+    while X.shape[1] < n:
+        r = X.shape[1]
+        candX = np.stack([ops.matmul(A.a, newX) for A in Atuple], axis=2).reshape(n, -1)
+        keep = np.array(rref(field, np.concatenate([X, candX], axis=1))[1][r:], dtype=np.intp) - r
+        if not len(keep):
+            return None, False
+        newX = candX[:, keep]
+        newY = np.stack([ops.matmul(B.a, newY) for B in Btuple], axis=2).reshape(n, -1)[:, keep]
+        X = np.concatenate([X, newX], axis=1)
+        Y = np.concatenate([Y, newY], axis=1)
+    X, Y = MatGF(field, X), MatGF(field, Y)
     Xinv, d = inverse_det(X)
     if d == 0:
         raise InvariantViolation("Krylov basis of independent vectors is singular")
@@ -195,17 +163,16 @@ def centralizer_is_scalars(Atuple, rng=None):
     return None
 
 
-def _is_nonderogatory(field: FieldSpec, E: np.ndarray, rng, tries: int = 3) -> bool:
-    """True if some vector is cyclic for E (Krylov rank n)."""
+def _is_nonderogatory(field: FieldSpec, E: np.ndarray, rng) -> bool:
+    """True if one of _CYCLIC_TRIES random vectors v is cyclic for E, that
+    is, if the Krylov matrix [v, Ev, .., E^(n-1) v] has rank n."""
     n = E.shape[0]
     ops = field.ops
-    for _ in range(tries):
-        v = rng.integers(0, field.q, size=n, dtype=np.int64)
-        ech = Echelon(field, n)
-        x = v
-        while ech.add(x) and ech.rank < n:
-            x = ops.matmul(E, x[:, None])[:, 0]
-        if ech.rank == n:
+    for _ in range(_CYCLIC_TRIES):
+        K = [rng.integers(0, field.q, size=n, dtype=np.int64)]
+        for _ in range(n - 1):
+            K.append(ops.matmul(E, K[-1][:, None])[:, 0])
+        if len(rref(field, np.stack(K, axis=1))[1]) == n:
             return True
     return False
 
@@ -246,18 +213,20 @@ def generates_full_algebra(A1: MatGF, A2: MatGF) -> bool:
     field = A1.field
     n = A1.rows
     ops = field.ops
-    ech = Echelon(field, n * n)
-    basis = [identity(field, n).a]
-    ech.add(basis[0].reshape(-1))
-    qi = 0
-    while qi < len(basis) and ech.rank < n * n:
-        M = basis[qi]
-        qi += 1
-        for G in (A1.a, A2.a):
-            N = ops.matmul(G, M)
-            if ech.add(N.reshape(-1)):
-                basis.append(N)
-    full = ech.rank == n * n
+    # V_(k+1) = V_k + A1 V_k + A2 V_k, kept as RREF rows of flattened matrices.
+    # A1 V_(k-1) and A2 V_(k-1) already lie in V_k, so only the rows at new
+    # pivot columns, which span a complement of V_(k-1), need their images.
+    R, pivots = identity(field, n).a.reshape(1, -1), [0]
+    new = R
+    while len(pivots) < n * n:
+        images = [ops.matmul(G, new.reshape(-1, n, n)).reshape(-1, n * n) for G in (A1.a, A2.a)]
+        R, grown = rref(field, np.concatenate([R, *images]))
+        if len(grown) == len(pivots):
+            break
+        R = R[:len(grown)]
+        new = R[np.isin(grown, pivots, invert=True)]
+        pivots = grown
+    full = len(pivots) == n * n
     # the full algebra has a trivial centralizer; the converse can fail
     # (non-semisimple proper algebras may also have scalar centralizer)
     if full and n <= 8 and len(intertwiner_space((A1, A2), (A1, A2))) != 1:

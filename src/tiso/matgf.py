@@ -4,7 +4,9 @@ Matrices wrap int64 numpy arrays of canonical field reps, and every
 arithmetic step on them goes through the field's vectorized
 :class:`tiso.gf.FieldOps`, so everything here is exact for every field.
 `rref`, `det`, `inverse_det` and `solve_linear` share one elimination,
-`_eliminate`.  It is a pivot loop with full-width row operations, except on a
+`_eliminate`, and every other rank and span question in the library (the
+Krylov, closure and algebra-generation ranks of `tiso.conj` too) is an
+`rref`.  It is a pivot loop with full-width row operations, except on a
 wide or tall matrix: there the loop runs only on a narrow column window or on
 row blocks, and the bulk of the work is one `FieldOps.matmul` (rank-profile
 elimination after Dumas, Giorgi and Pernet, FFLAS-FFPACK, and Jeannerod,
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import NotSimpleEigenvalue, ShapeMismatch
 from .gf import FieldSpec
-from .poly import Poly, poly, poly_divmod, poly_eval, roots_in_Fq
+from .poly import Poly, poly, roots_in_Fq
 
 
 @dataclass
@@ -392,30 +394,28 @@ def unique_simple_eigenvalue(A: MatGF, require_nonzero: bool = False, rng=None):
     return lam, v, w
 
 
-def primary_split_basis(A: MatGF, lam: int, rng=None) -> MatGF:
+def primary_split_basis(A: MatGF, lam: int) -> MatGF:
     """Change of basis P with P A P^{-1} = block-diag(lam, A_0), mult(lam)=1.
 
     The complement E_0 (kernel of the eigenvalue-free cofactor of the
     characteristic polynomial) equals the column space of A - lam*I when
-    mult(lam) = 1, which is what we compute.
+    mult(lam) = 1, which is what we compute.  P maps the eigenvector w to e_1.
+    Rank n - 1 of A - lam*I makes the eigenspace the line through w, and a
+    Jordan chain over lam would put w inside the column space, so
+    [w | basis of the column space] is invertible exactly when lam is simple.
     """
     field = A.field
     n = A.rows
-    cp = charpoly(A)
-    lin = poly(field, [field.neg(lam), 1])
-    quo, rem = poly_divmod(cp, lin)
-    if not rem.is_zero() or poly_eval(quo, lam) == 0:
-        raise NotSimpleEigenvalue(f"{lam} is not a simple eigenvalue")
     shifted = A - identity(field, n).scale(lam)
     # column space of (A - lam I) = row space of its transpose
     Rt, pivots = rref(field, shifted.a.T)
     if len(pivots) != n - 1:
-        raise NotSimpleEigenvalue("unexpected rank of A - lam*I")
+        raise NotSimpleEigenvalue(f"{lam} is not an eigenvalue of geometric multiplicity 1")
     w = right_kernel(shifted)[1][0]
     M = np.concatenate([w[:, None], Rt[: n - 1].T], axis=1)
     Minv, d = inverse_det(MatGF(field, M))
     if d == 0:
-        raise NotSimpleEigenvalue("eigenvector unexpectedly inside the complement")
+        raise NotSimpleEigenvalue(f"{lam} is not a simple eigenvalue")
     return Minv
 
 

@@ -742,6 +742,8 @@ def monte_carlo(stat: str, n: int, q, trials: int, seed, c: int | None = None):
         raise BadParams(f"unknown statistic {stat!r}; choose from {MC_STATS}")
     if trials < 100:
         raise BadParams("trials must be >= 100")
+    if n < 1:
+        raise BadParams("n must be >= 1")
     if stat == "corank_c" and (c is None or c < 0):
         raise BadParams("corank_c needs a corank parameter c >= 0")
     field = q if isinstance(q, FieldSpec) else field_from_q(q)

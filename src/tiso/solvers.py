@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (BadParams, InvariantViolation, NotSimpleEigenvalue,
                      ShapeMismatch, Singular)
 from .codes import code_from_slices, hull, trace_gram
-from .conj import (FULL_SYSTEM_MAX_N, Echelon, centralizer_is_scalars, conj_coset,
-                   conj_with_seed, intertwiner_space)
+from .conj import (FULL_SYSTEM_MAX_N, centralizer_is_scalars, conj_coset, conj_with_seed,
+                   intertwiner_space)
 from .gf import digit_planes
 from .matgf import (MatGF, eigen_profile, identity, inverse_det, right_kernel,
                     rref_rank_kernel, rref_stack, solve_linear,
@@ -127,12 +127,10 @@ def _conj_pair(Atuple, Btuple, seed, rng):
     seed = (w, z): a vector pair any intertwiner must match up to scale
     (matched eigenvectors).  Returns (T or None, decided).
     """
-    n = Atuple[0].rows
-    if seed is not None:
-        T, decided = conj_with_seed(Atuple, Btuple, seed[0], seed[1])
-        if decided:
-            return T, True
-    if n <= FULL_SYSTEM_MAX_N:
+    T, decided = conj_with_seed(Atuple, Btuple, *seed)
+    if decided:
+        return T, True
+    if Atuple[0].rows <= FULL_SYSTEM_MAX_N:
         cc = conj_coset(Atuple, Btuple, rng)
         if cc.kind == "Conjugate":
             return cc.representative, True
@@ -231,8 +229,8 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     trace.record("step2", "pass", hA.a, hBs.a)
 
     # step 3: primary splits put both lambda-eigenspaces at span{e_1}
-    PA = primary_split_basis(hA, lamA, rng)
-    PB = primary_split_basis(hBs, lamA, rng)
+    PA = primary_split_basis(hA, lamA)
+    PB = primary_split_basis(hBs, lamA)
     PAinv, dA = inverse_det(PA)
     PBinv, dB = inverse_det(PB)
     if dA == 0 or dB == 0:
@@ -299,10 +297,11 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     B2r = B2.scale(field.div(res2[0], res2b[0]))
     if centralizer_is_scalars((hAt, A2), rng) is not True:
         return _fail(trace, "step6")
-    seedA = unique_simple_eigenvalue(hAt, require_nonzero=True, rng=rng)
-    seedB = unique_simple_eigenvalue(hBt, require_nonzero=True, rng=rng)
-    seed = (seedA[2], seedB[2]) if (seedA and seedB) else None
-    S, decided = _conj_pair((hAt, A2), (hBt, B2r), seed, rng)
+    # step 3's split bases map the lambda-eigenvectors of hA and hBs to e_1,
+    # so e_1 is the matched right eigenvector of hAt and of hBt
+    e1 = ops.zeros(n)
+    e1[0] = 1
+    S, decided = _conj_pair((hAt, A2), (hBt, B2r), (e1, e1), rng)
     if not decided:
         return _fail(trace, "step6")
     if S is None:
@@ -463,22 +462,16 @@ def _kernel_code_side(field, kernel_vecs, n, rng):
         ok, Xinv = _invert_stack(field, X)
         if ok.any():
             i = int(ok.argmax())
-            first = (MatGF(field, X[i].copy()), MatGF(field, Xinv[i].copy()))
+            first = (MatGF(field, X[i].copy()), MatGF(field, Xinv[i].copy()), coeffs[i])
             break
     if first is None:
         return None
-    A1, A1inv = first
-    # extend A_1 to an ordered basis by the echelon basis elements that keep
-    # independence
-    ech = Echelon(field, n * n)
-    ech.add(A1.a.reshape(-1))
-    rest = []
-    for M in mats:
-        if ech.rank == c:
-            break
-        if ech.add(M.a.reshape(-1)):
-            rest.append(M)
-    reduced = tuple(A1inv @ M for M in rest)
+    A1, A1inv, a = first
+    # A_1 = sum a_i M_i over independent M_i, so extending A_1 to an ordered
+    # basis by the M_i that keep independence, in order, drops exactly the
+    # last M_i with a_i != 0
+    last = int(np.flatnonzero(a)[-1])
+    reduced = tuple(A1inv @ M for M in mats[:last] + mats[last + 1:])
     if len(reduced) == 0:
         scalars = (n == 1)
     else:

@@ -4,16 +4,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tiso.conj import (centralizer_is_scalars, conj_coset, conj_with_seed,
-                       generates_full_algebra, intertwiner_space)
+from tiso.conj import (_is_nonderogatory, centralizer_is_scalars, conj_coset,
+                       conj_with_seed, generates_full_algebra, intertwiner_space)
 from tiso.errors import ShapeMismatch
 from tiso.gf import field_create
 from tiso.matgf import (MatGF, identity, inverse_det, random_invertible,
-                        random_matrix, unique_simple_eigenvalue)
+                        random_matrix, rref, unique_simple_eigenvalue)
+from tiso.solvers import _kernel_code_side
+from tiso.tensor import vec_to_matrix
 
 F5 = field_create(5)
 F3 = field_create(3)
+F2 = field_create(2)
+F4 = field_create(2, 2)
 
 
 def _conjugate_tuple(Atuple, T):
@@ -103,6 +109,79 @@ def test_conj_with_seed_certifies_nonexistence():
             assert X is None or all((X @ M == N @ X)
                                     for M, N in zip((A1, A2), (B1, B2)))
             done += 1
+
+
+def test_conj_with_seed_undecided_inside_an_invariant_subspace():
+    """A seed inside span(e_1, e_2), which every member of a block-diagonal
+    tuple maps into itself, never generates F^5: nothing is decided."""
+    rng = np.random.default_rng(10)
+    tuple_ = []
+    for _ in range(2):
+        M = random_matrix(F5, 5, 5, rng)
+        M.a[:2, 2:] = 0
+        M.a[2:, :2] = 0
+        tuple_.append(M)
+    w = np.array([1, 3, 0, 0, 0], dtype=F5.ops.dtype)
+    assert conj_with_seed(tuple_, tuple_, w, w) == (None, False)
+    zero = np.zeros(5, dtype=F5.ops.dtype)
+    assert conj_with_seed(tuple_, tuple_, zero, w) == (None, False)
+    # a seed that generates F^5 decides, and the identity intertwines
+    X, decided = conj_with_seed(tuple_, tuple_, np.ones(5, dtype=F5.ops.dtype),
+                                np.ones(5, dtype=F5.ops.dtype))
+    assert decided and X == identity(F5, 5)
+
+
+def test_is_nonderogatory_and_its_draws():
+    """One random vector per try, three tries: a derogatory E uses all three
+    draws, a companion matrix of an irreducible polynomial the first."""
+    n = 4
+    derogatory = np.diag([1, 1, 2, 3]).astype(F5.ops.dtype)
+    # companion matrix of t^4 + t^3 + t^2 + 1, irreducible over GF(5), so
+    # every nonzero vector is cyclic
+    companion = np.zeros((n, n), dtype=F5.ops.dtype)
+    companion[1:, :-1] = np.eye(n - 1, dtype=F5.ops.dtype)
+    companion[:, -1] = F5.ops.neg(np.array([1, 0, 1, 1], dtype=F5.ops.dtype))
+    for E, expected, draws in ((derogatory, False, 3), (companion, True, 1)):
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        assert _is_nonderogatory(F5, E, rng) is expected
+        for _ in range(draws):
+            ref.integers(0, 5, size=n, dtype=np.int64)
+        assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
+
+
+def _greedy_extension(field, first, mats):
+    """Oracle: the members of `mats` that, taken in order, are independent of
+    `first` and of the members kept before them."""
+    kept, rank = [], 1
+    for M in mats:
+        stack = np.stack([first.a.reshape(-1), *(K.a.reshape(-1) for K in kept),
+                          M.a.reshape(-1)])
+        if len(rref(field, stack)[1]) > rank:
+            kept.append(M)
+            rank += 1
+    return kept
+
+
+@given(st.sampled_from([F2, F3, F4]), st.sampled_from([3, 4]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_kernel_code_side_extension_matches_greedy_oracle(field, c, seed):
+    """The basis extension of `_kernel_code_side` (every code basis element
+    but the last one with a nonzero coefficient in A_1) is the greedy one."""
+    rng = np.random.default_rng(seed)
+    n = 2
+    while True:
+        vecs = rng.integers(0, field.q, size=(c, n * n))
+        if len(rref(field, vecs)[1]) == c:
+            break
+    out = _kernel_code_side(field, list(vecs), n, None)
+    if c == n * n:
+        # the code is all of M(2, q), whose centralizer is the scalars
+        assert out is not None
+    if out is None:
+        return
+    A1, reduced, mats = out
+    assert mats == [vec_to_matrix(field, v, n) for v in vecs]
+    assert [A1 @ R for R in reduced] == _greedy_extension(field, A1, mats)
 
 
 def test_centralizer_is_scalars_random_pair():

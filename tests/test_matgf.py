@@ -375,7 +375,7 @@ def test_primary_split_basis_block_structure():
         if res is None:
             continue
         lam = res[0]
-        P = primary_split_basis(A, lam, rng)
+        P = primary_split_basis(A, lam)
         Pinv, d = inverse_det(P)
         assert d != 0
         C = P @ A @ Pinv
@@ -383,7 +383,24 @@ def test_primary_split_basis_block_structure():
         assert not C.a[1:, 0].any() and not C.a[0, 1:].any()
         done += 1
     with pytest.raises(NotSimpleEigenvalue):
-        primary_split_basis(identity(F5, 3), 1, rng)
+        primary_split_basis(identity(F5, 3), 1)
+
+
+def test_primary_split_basis_rejects_non_simple_eigenvalues():
+    # a 2x2 Jordan block at lam: A - lam I has rank n - 1, but the
+    # eigenvector lies in its column space
+    with pytest.raises(NotSimpleEigenvalue):
+        primary_split_basis(mat(F5, [[3, 1], [0, 3]]), 3)
+    jordan = mat(F5, [[3, 1, 0], [0, 3, 0], [0, 0, 1]])
+    with pytest.raises(NotSimpleEigenvalue):
+        primary_split_basis(jordan, 3)
+    # 2 is not an eigenvalue: A - 2 I has full rank
+    with pytest.raises(NotSimpleEigenvalue):
+        primary_split_basis(jordan, 2)
+    # the simple eigenvalue 1 of the same matrix splits off
+    P = primary_split_basis(jordan, 1)
+    C = P @ jordan @ inverse_det(P)[0]
+    assert C.a[0, 0] == 1 and not C.a[1:, 0].any() and not C.a[0, 1:].any()
 
 
 def test_solve_linear_both_sides():

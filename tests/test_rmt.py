@@ -287,3 +287,6 @@ def test_monte_carlo_validation():
         rmt.monte_carlo("nope", 4, 2, 200, seed=0)
     with pytest.raises(BadParams):
         rmt.monte_carlo("corank_c", 4, 2, 200, seed=0)
+    # n = 0 is a usage error, not an estimate
+    with pytest.raises(BadParams):
+        rmt.monte_carlo("full_algebra_pair", 0, 3, 200, seed=0)
