@@ -7,13 +7,20 @@ arithmetic step on them goes through the field's vectorized
 `_eliminate`, and every other rank and span question in the library (the
 Krylov, closure and algebra-generation ranks of `tiso.conj` too) is an
 `rref`.  It is a pivot loop with full-width row operations, except on a
-wide or tall matrix: there the loop runs only on a narrow column window or on
-row blocks, and the bulk of the work is one `FieldOps.matmul` (rank-profile
-elimination after Dumas, Giorgi and Pernet, FFLAS-FFPACK, and Jeannerod,
-Pernet and Storjohann, 2013).  `rref_stack` runs the loop over a stack of
-matrices at once.  `right_kernel` takes one elimination (`rref_rank_kernel`
-adds the left kernel), and `solve_linear` reads the solutions for many
-right-hand sides and the kernel off one elimination of [A | b].
+wide matrix of at least `_WIDE_MIN_ROWS` rows or a tall matrix: there the
+loop runs only on a narrow column window or on row blocks, and the bulk of
+the work is one `FieldOps.matmul` (rank-profile elimination after Dumas,
+Giorgi and Pernet, FFLAS-FFPACK, and Jeannerod, Pernet and Storjohann,
+2013).  `rref_stack` runs the loop over a stack of matrices at once.
+`right_kernel` takes one elimination (`rref_rank_kernel` adds the left
+kernel), and `solve_linear` reads the solutions for many right-hand sides and
+the kernel off one elimination of [A | b].
+
+The solvers' spectral gate, `unique_simple_eigenvalue`, is matrix products
+and eliminations too: A^q by square-and-multiply, then the right and left
+kernels of A^q - A.  `charpoly` (Hessenberg) and `eigen_profile`
+(its F_q-roots through `tiso.poly`) give the full profile where a caller
+needs every eigenvalue.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSimpleEigenvalue, ShapeMismatch
-from .gf import FieldSpec
+from .gf import FieldSpec, _power
 from .poly import Poly, poly, roots_in_Fq
 
 
@@ -111,8 +118,10 @@ def rref(field: FieldSpec, M: np.ndarray):
 
 # A matrix at least _WIDE times as wide as tall, or _TALL times as tall as
 # wide, takes a rank-profile path of `_eliminate` (kernel rows in
-# BENCH_rref.json).
+# BENCH_rref.json); a wide one needs _WIDE_MIN_ROWS rows, below which the
+# pivot loop is as fast or faster (kernel rows in BENCH_spectral.json).
 _WIDE = 4
+_WIDE_MIN_ROWS = 8
 _TALL = 4
 
 
@@ -137,7 +146,7 @@ def _eliminate(field: FieldSpec, M: np.ndarray):
     ops = field.ops
     M = np.asarray(M, dtype=ops.dtype)
     rows, cols = M.shape
-    if rows and cols >= _WIDE * rows:
+    if rows >= _WIDE_MIN_ROWS and cols >= _WIDE * rows:
         w = 2 * rows
         W, pivots, d = _pivot_loop(field, np.concatenate([M[:, :w], identity(field, rows).a], axis=1))
         if pivots[-1] < w:
@@ -372,25 +381,41 @@ def _normalize_first_nonzero(field: FieldSpec, v: np.ndarray) -> np.ndarray:
 
 
 def unique_simple_eigenvalue(A: MatGF, require_nonzero: bool = False, rng=None):
-    """(lambda, left eigvec, right eigvec) when the profile is exactly [(λ,1)].
+    """(lambda, left eigvec, right eigvec) when lambda is the only F_q-eigenvalue
+    of A and it is simple, i.e. the eigen-profile is exactly [(lambda, 1)].
+
+    Two facts decide this with matrix products and eliminations alone.
+    t^q - t is the squarefree product of t - c over c in F_q, so by primary
+    decomposition ker(A^q - A) is the direct sum of the F_q-eigenspaces of A,
+    and its left kernel that of the left eigenspaces (Lidl and Niederreiter,
+    Finite Fields, ch. 3; Hoffman and Kunze, Linear Algebra, sec. 6.8).  The
+    right kernel is a line w exactly when A has one F_q-eigenvalue, of
+    geometric multiplicity 1, read off A w = lambda w; the left kernel is then
+    the line of the left eigenvector v.  v spans the annihilator of the
+    column space of A - lambda I, so v.w = 0 exactly when w lies in that
+    column space: when a Jordan chain over lambda makes its algebraic
+    multiplicity at least 2.
 
     Eigenvectors are normalized so their first nonzero coordinate is 1.
     Returns None when the profile condition (or the nonzero flag) fails.
+    Nothing is drawn from rng, which is kept for the callers' signature.
     """
-    profile = eigen_profile(A, rng)
-    if len(profile) != 1 or profile[0][1] != 1:
+    field, n = A.field, A.rows
+    if n != A.cols:
+        raise ShapeMismatch("eigenvalues of non-square matrix")
+    ops = field.ops
+    Aq = _power(ops.matmul, A.a, field.q, identity(field, n).a)
+    _, right, left = rref_rank_kernel(MatGF(field, ops.sub(Aq, A.a)))
+    if len(right) != 1:
         return None
-    lam = profile[0][0]
+    w = _normalize_first_nonzero(field, right[0])
+    # (A w)_i = lambda at the first nonzero coordinate i, where w_i = 1
+    lam = int(ops.matmul(A.a, w[:, None])[np.flatnonzero(w)[0], 0])
     if require_nonzero and lam == 0:
         return None
-    field = A.field
-    n = A.rows
-    shifted = A - identity(field, n).scale(lam)
-    _, right, left = rref_rank_kernel(shifted)
-    if len(right) != 1 or len(left) != 1:
-        raise NotSimpleEigenvalue(f"eigenspaces of the simple eigenvalue {lam} are not lines")
     v = _normalize_first_nonzero(field, left[0])
-    w = _normalize_first_nonzero(field, right[0])
+    if ops.sum(ops.mul(v, w)) == 0:
+        return None
     return lam, v, w
 
 

@@ -78,7 +78,7 @@ def deep_slices(field, n, rng):
             X = V1 + V2.scale(rts[0][0])
             if not X.a.any() or trace_of_square(X) != 0:
                 continue
-            if unique_simple_eigenvalue(X, require_nonzero=True, rng=rng) is None:
+            if unique_simple_eigenvalue(X, require_nonzero=True) is None:
                 continue
             found = X
             break
@@ -90,7 +90,6 @@ def deep_slices(field, n, rng):
         H = codes.hull(C)
         if H.dim != 1:
             continue
-        if unique_simple_eigenvalue(H.basis()[0], require_nonzero=True,
-                                    rng=rng) is None:
+        if unique_simple_eigenvalue(H.basis()[0], require_nonzero=True) is None:
             continue
         return mats + [found]

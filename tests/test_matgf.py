@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiso import rmt
 from tiso.errors import NotSimpleEigenvalue, ShapeMismatch
 from tiso.gf import field_create
-from tiso.matgf import (MatGF, charpoly, det, eigen_profile, identity,
-                        inverse_det, mat, primary_split_basis,
+from tiso.matgf import (_WIDE, _WIDE_MIN_ROWS, MatGF, charpoly, det, eigen_profile,
+                        identity, inverse_det, mat, primary_split_basis,
                         random_invertible, random_matrix, right_kernel, rref,
                         rref_rank_kernel, rref_stack, solve_linear, trace,
                         trace_of_square, unique_simple_eigenvalue, zeros)
-from tiso.poly import poly_eval
+from tiso.poly import poly, poly_eval, roots_in_Fq
 
 F5 = field_create(5)
 F4 = field_create(2, 2)
@@ -188,11 +189,12 @@ def _oracle_solve(A, b):
     return x, list(kern)
 
 
-def _shaped(field, kind, rng):
+def _shaped(field, kind, rng, min_rows=1):
     """A matrix of one of the shapes and rank structures the rank-profile
-    paths of the elimination branch on."""
+    paths of the elimination branch on; its short side is at least
+    min_rows."""
     q = field.q
-    a, b = int(rng.integers(1, 7)), int(rng.integers(0, 25))
+    a, b = int(rng.integers(min_rows, min_rows + 6)), int(rng.integers(0, 25))
     if kind == "wide":
         M = rng.integers(0, q, size=(a, 4 * a + b))
     elif kind == "tall":
@@ -253,6 +255,19 @@ def test_elimination_matches_the_pivot_loop_oracle(field, kind, seed):
         assert (ref is None) == (res is None)
         if res is not None:
             assert (res[0] == ref[0]).all() and _same_basis(res[1], ref[1])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@given(st.sampled_from(["wide", "repeated rows", "late window"]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_window_path_matches_the_pivot_loop_oracle(field, kind, seed):
+    """From _WIDE_MIN_ROWS rows up, "wide" and "late window" matrices take
+    the window path."""
+    M = _shaped(field, kind, np.random.default_rng(seed), min_rows=_WIDE_MIN_ROWS)
+    assert kind == "repeated rows" or M.shape[1] >= _WIDE * M.shape[0] >= _WIDE * _WIDE_MIN_ROWS
+    R, pivots, _ = _eliminate_oracle(field, M)
+    got, got_pivots = rref(field, M)
+    assert got_pivots == pivots and (got == R).all()
 
 
 def test_inverse_det_round_trip():
@@ -364,6 +379,95 @@ def test_unique_simple_eigenvalue_vectors():
         assert v[np.nonzero(v)[0][0]] == 1
         assert w[np.nonzero(w)[0][0]] == 1
     assert hits > 0
+
+
+def _unique_simple_oracle(A: MatGF, require_nonzero: bool = False):
+    """The gate as the characteristic polynomial states it: the F_q-roots of
+    charpoly(A) with multiplicities must be exactly [(lambda, 1)]."""
+    profile = roots_in_Fq(charpoly(A))
+    if len(profile) != 1 or profile[0][1] != 1:
+        return None
+    lam = profile[0][0]
+    if require_nonzero and lam == 0:
+        return None
+    field = A.field
+    _, right, left = rref_rank_kernel(A - identity(field, A.rows).scale(lam))
+    v, w = left[0], right[0]
+    v = field.ops.mul(v, field.inv(int(v[np.flatnonzero(v)[0]])))
+    w = field.ops.mul(w, field.inv(int(w[np.flatnonzero(w)[0]])))
+    return lam, v, w
+
+
+GATE_FIELDS = [field_create(2), F5, field_create(7), field_create((1 << 20) + 7),
+               field_create((1 << 31) - 1), field_create(2, 8), field_create(3, 5),
+               field_create(5, 7)]
+GATE_INPUTS = ["random", "jordan block", "double eigenvalue", "no eigenvalue",
+               "sole eigenvalue 0", "1x1"]
+
+
+def _block_diag(field, blocks):
+    n = sum(len(b) for b in blocks)
+    D, at = field.ops.zeros((n, n)), 0
+    for b in blocks:
+        D[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return D
+
+
+def _irreducible_quadratic_block(field, rng):
+    """The companion matrix of a random monic quadratic with no F_q-root."""
+    while True:
+        c0, c1 = (int(x) for x in rng.integers(0, field.q, size=2))
+        if not roots_in_Fq(poly(field, [c0, c1, 1])):
+            return np.array([[0, field.neg(c0)], [1, field.neg(c1)]], dtype=np.int64)
+
+
+def _gate_input(field, kind, rng):
+    """A matrix of the named spectral kind, conjugated by a random invertible
+    matrix; the constructed kinds pad with eigenvalue-free quadratic blocks."""
+    if kind == "random":
+        n = int(rng.integers(1, 9))
+        return random_matrix(field, n, n, rng)
+    if kind == "1x1":
+        return random_matrix(field, 1, 1, rng)
+    lam = int(rng.integers(0, field.q))
+    head = {"jordan block": [np.array([[lam, 1], [0, lam]])],
+            "double eigenvalue": [np.array([[lam]]), np.array([[lam]])],
+            "no eigenvalue": [],
+            "sole eigenvalue 0": [np.array([[0]])]}[kind]
+    pad = [_irreducible_quadratic_block(field, rng)
+           for _ in range(int(rng.integers(0 if head else 1, 3)))]
+    D = MatGF(field, _block_diag(field, head + pad))
+    P = random_invertible(field, D.rows, rng)
+    return P @ D @ inverse_det(P)[0]
+
+
+@given(st.sampled_from(GATE_FIELDS), st.sampled_from(GATE_INPUTS), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_unique_simple_eigenvalue_matches_the_charpoly_oracle(field, kind, require_nonzero, seed):
+    A = _gate_input(field, kind, np.random.default_rng(seed))
+    got = unique_simple_eigenvalue(A, require_nonzero=require_nonzero)
+    ref = _unique_simple_oracle(A, require_nonzero=require_nonzero)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert got[0] == ref[0] and type(got[0]) is int
+        assert (got[1] == ref[1]).all() and (got[2] == ref[2]).all()
+    if kind in ("jordan block", "double eigenvalue", "no eigenvalue"):
+        assert got is None
+    if kind == "sole eigenvalue 0":
+        assert (got is None) == require_nonzero
+
+
+def test_unique_simple_monte_carlo_matches_the_oracle_over_the_same_draws():
+    """At q = 8209 a failing gate draws nothing from the trial stream, so the
+    estimate is the oracle's count over the same n x n matrices."""
+    field, n, trials, seed = field_create(8209), 4, 200, 11
+    rng = np.random.default_rng(seed)
+    hits = sum(_unique_simple_oracle(random_matrix(field, n, n, rng)) is not None
+               for _ in range(trials))
+    assert 0 < hits < trials
+    assert rmt.monte_carlo("unique_simple", n, 8209, trials, seed)[0] == hits / trials
 
 
 def test_primary_split_basis_block_structure():

@@ -127,6 +127,47 @@ def test_mcc_self_solve_on_deep_instance():
         assert verify_witness("mcc", A, A, verdict.witness)
 
 
+F8209 = field_create(8209)
+
+
+def _deep_outcomes_over_gf8209(problem, planted, seeds=range(16)):
+    """(verdict letters and stages, digest of every verdict and stage-trace
+    JSON) of seeded solves on deep n = 6 pairs over GF(8209).  Above
+    q = 4096 a spectral gate that fails with two or more eigenvalues in F_q
+    once split them with draws from the solver's rng; these pairs include
+    such failures."""
+    h = hashlib.blake2b(digest_size=12)
+    verdicts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        direction = "horizontal" if problem == "algiso" else "frontal"
+        A = reassemble(F8209, deep_slices(F8209, 6, rng), direction)
+        if not planted:
+            B = reassemble(F8209, deep_slices(F8209, 6, rng), direction)
+        elif problem == "algiso":
+            B = act_algebra(A, random_invertible(F8209, 6, rng))
+        else:
+            B = act_code_conj(A, random_invertible(F8209, 6, rng), random_invertible(F8209, 6, rng))
+        verdict, trace = solve(problem, A, B, rng=seed)
+        verdicts.append(verdict.kind[0] + (verdict.stage or "")[-1:])
+        h.update(json.dumps([verdict.to_json(), trace.to_json()]).encode())
+    return " ".join(verdicts), h.hexdigest()
+
+
+# recorded before the spectral gate stopped drawing from the rng on failure
+_GF8209_RECORDED = {
+    ("algiso", True): ("F4 F4 F5 F4 F4 F4 I F4 F4 I F4 F4 F5 I F4 F5", "7763915a4ea67662286352aa"),
+    ("algiso", False): ("F4 F4 F5 F4 F4 F4 N4 F4 F4 N5 F4 F4 F5 N4 F4 F5", "94338c77066969f2a7430303"),
+    ("mcc", True): ("F6 F6 F6 F6 F6 F6 I F6 F6 F6 F6 F6 F6 F6 F6 F6", "dc316019dff718bfde445b9b"),
+    ("mcc", False): ("F6 N6 F6 F6 F6 F6 N6 N6 F6 F6 N6 F6 F6 N6 F6 F6", "86bc4ac328c6c4cf78842232"),
+}
+
+
+@pytest.mark.parametrize("problem,planted", list(_GF8209_RECORDED), ids=str)
+def test_seeded_solves_over_gf8209_match_the_recorded_outcomes(problem, planted):
+    assert _deep_outcomes_over_gf8209(problem, planted) == _GF8209_RECORDED[problem, planted]
+
+
 def test_t4_planted_corank_success():
     hits = 0
     for seed in range(20):
