@@ -341,6 +341,8 @@ def _rmt_limits(args) -> dict:
 
 def cmd_rmt(args) -> int:
     prime_power(args.q)
+    if args.n is None and args.action != "limits" and args.quantity != "sigma_char2":
+        raise BadParams(f"rmt {args.action} {args.quantity} needs --n")
     action = {"exact": _rmt_exact, "census": _rmt_census,
               "mc": _rmt_mc, "limits": _rmt_limits}[args.action]
     doc = action(args)

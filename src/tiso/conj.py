@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvariantViolation, ShapeMismatch
 from .gf import FieldSpec
 from .matgf import MatGF, identity, inverse_det, right_kernel, rref
-from .tensor import as_rng, kron, mode_product
+from .tensor import as_rng, mode_product
 
 # above this size the dense n^2-unknown system is not attempted
 FULL_SYSTEM_MAX_N = 32
@@ -56,16 +56,25 @@ def _check_tuples(Atuple, Btuple):
     return n
 
 
+def intertwiner_system(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The matrix of X -> (X A_i - B_i X)_i on row-major vec(X): the blocks
+    kron(I, A_i^t) - kron(B_i, I) for stacks A, B of n x n matrices, one
+    system per entry of B's leading batch axes."""
+    n = A.shape[-1]
+    # products with the 0/1 identity only place entries: exact in every field
+    eye = np.eye(n, dtype=np.int64)
+    kron_A = eye[:, None, :, None] * np.swapaxes(A, -1, -2)[..., None, :, None, :]
+    kron_B = B[..., :, None, :, None] * eye[:, None, :]
+    return field.ops.sub(kron_A, kron_B).reshape(B.shape[:-3] + (len(A) * n * n, n * n))
+
+
 def intertwiner_space(Atuple, Btuple) -> list:
     """Canonical basis of {X : X A_i = B_i X for all i}."""
     n = _check_tuples(Atuple, Btuple)
     field = Atuple[0].field
-    I = identity(field, n)
-    blocks = []
-    for A, B in zip(Atuple, Btuple):
-        blocks.append(field.ops.sub(kron(I, A.T).a, kron(B, I).a))
-    system = MatGF(field, np.concatenate(blocks, axis=0))
-    _, right = right_kernel(system)
+    system = intertwiner_system(field, np.stack([A.a for A in Atuple]),
+                                np.stack([B.a for B in Btuple]))
+    _, right = right_kernel(MatGF(field, system))
     return [MatGF(field, v.reshape(n, n).copy()) for v in right]
 
 

@@ -18,9 +18,10 @@ the kernel off one elimination of [A | b].
 
 The solvers' spectral gate, `unique_simple_eigenvalue`, is matrix products
 and eliminations too: A^q by square-and-multiply, then the right and left
-kernels of A^q - A.  `charpoly` (Hessenberg) and `eigen_profile`
-(its F_q-roots through `tiso.poly`) give the full profile where a caller
-needs every eigenvalue.
+kernels of A^q - A; `primary_split_basis` builds its split basis in closed
+form from the gate's eigenvector pair, elementwise.  `charpoly` (Hessenberg)
+and `eigen_profile` (its F_q-roots through `tiso.poly`) give the full profile
+where a caller needs every eigenvalue.
 """
 
 from __future__ import annotations
@@ -101,8 +102,7 @@ def zeros(field: FieldSpec, r: int, c: int) -> MatGF:
 
 def identity(field: FieldSpec, n: int) -> MatGF:
     a = field.ops.zeros((n, n))
-    for i in range(n):
-        a[i, i] = 1
+    a.flat[::n + 1] = 1
     return MatGF(field, a)
 
 
@@ -419,29 +419,29 @@ def unique_simple_eigenvalue(A: MatGF, require_nonzero: bool = False, rng=None):
     return lam, v, w
 
 
-def primary_split_basis(A: MatGF, lam: int) -> MatGF:
-    """Change of basis P with P A P^{-1} = block-diag(lam, A_0), mult(lam)=1.
+def primary_split_basis(field: FieldSpec, v: np.ndarray, w: np.ndarray):
+    """(P, P^{-1}) with P A P^{-1} = block-diag(lam, A_0), from left and right
+    eigenvectors v, w of A for a simple eigenvalue lam.
 
-    The complement E_0 (kernel of the eigenvalue-free cofactor of the
-    characteristic polynomial) equals the column space of A - lam*I when
-    mult(lam) = 1, which is what we compute.  P maps the eigenvector w to e_1.
-    Rank n - 1 of A - lam*I makes the eigenspace the line through w, and a
-    Jordan chain over lam would put w inside the column space, so
-    [w | basis of the column space] is invertible exactly when lam is simple.
+    The complement of the eigenline is the column space of A - lam I, which
+    is ker v; with k the last index where v_k != 0, h_j = e_j - (v_j/v_k) e_k
+    (j != k) is its reduced echelon basis.  P^{-1} = [w | h_j, j ascending],
+    with w scaled to end in 1 as `right_kernel(A - lam I)` scales it.  Row 0
+    of P is v/(v.w) and row j is e_j - (w_j/(v.w)) v.  v.w = 0 exactly when a
+    Jordan chain over lam puts w in ker v, and then lam is not simple.
     """
-    field = A.field
-    n = A.rows
-    shifted = A - identity(field, n).scale(lam)
-    # column space of (A - lam I) = row space of its transpose
-    Rt, pivots = rref(field, shifted.a.T)
-    if len(pivots) != n - 1:
-        raise NotSimpleEigenvalue(f"{lam} is not an eigenvalue of geometric multiplicity 1")
-    w = right_kernel(shifted)[1][0]
-    M = np.concatenate([w[:, None], Rt[: n - 1].T], axis=1)
-    Minv, d = inverse_det(MatGF(field, M))
-    if d == 0:
-        raise NotSimpleEigenvalue(f"{lam} is not a simple eigenvalue")
-    return Minv
+    ops = field.ops
+    if ops.sum(ops.mul(v, w)) == 0:
+        raise NotSimpleEigenvalue("v.w = 0: the eigenvalue is not simple")
+    k = int(np.flatnonzero(v)[-1])
+    rest = np.delete(np.arange(len(v)), k)
+    w = ops.mul(w, ops.scalar_inv(w[np.flatnonzero(w)[-1]]))
+    u = ops.mul(v, ops.scalar_inv(ops.sum(ops.mul(v, w))))
+    eye = identity(field, len(v)).a
+    Pinv = np.concatenate([w[:, None], eye[:, rest]], axis=1)
+    Pinv[k, 1:] = ops.neg(ops.mul(v[rest], ops.scalar_inv(v[k])))
+    P = np.concatenate([u[None, :], ops.sub(eye[rest], ops.mul(w[rest][:, None], u[None, :]))])
+    return MatGF(field, P), MatGF(field, Pinv)
 
 
 def trace_of_square(A: MatGF) -> int:
@@ -458,10 +458,7 @@ def trace_of_square_stack(field: FieldSpec, D: np.ndarray):
 
 
 def trace(A: MatGF) -> int:
-    acc = 0
-    for i in range(A.rows):
-        acc = A.field.add(acc, int(A.a[i, i]))
-    return acc
+    return int(A.field.ops.sum(np.diagonal(A.a)))
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,8 @@ def sigma_census(n: int, q: int) -> Fraction:
     """Exact fraction of A in M(n, q) with Tr(A^2) = 0, by full enumeration
     (vectorized; feasible for q^{n^2} <= 2^24)."""
     field = field_from_q(q)
+    if n < 1:
+        raise BadParams("n must be >= 1")
     count = 0
     total = q ** (n * n)
     for D in _census_chunks(q, n):
@@ -744,8 +746,8 @@ def monte_carlo(stat: str, n: int, q, trials: int, seed, c: int | None = None):
         raise BadParams("trials must be >= 100")
     if n < 1:
         raise BadParams("n must be >= 1")
-    if stat == "corank_c" and (c is None or c < 0):
-        raise BadParams("corank_c needs a corank parameter c >= 0")
+    if stat == "corank_c" and (c is None or not 0 <= c <= n):
+        raise BadParams("corank_c needs a corank parameter 0 <= c <= n")
     field = q if isinstance(q, FieldSpec) else field_from_q(q)
     rng = as_rng(seed)
     hits = 0

@@ -22,7 +22,7 @@ from .errors import (BadParams, InvariantViolation, NotSimpleEigenvalue,
                      ShapeMismatch, Singular)
 from .codes import code_from_slices, hull, trace_gram
 from .conj import (FULL_SYSTEM_MAX_N, centralizer_is_scalars, conj_coset, conj_with_seed,
-                   intertwiner_space)
+                   intertwiner_space, intertwiner_system)
 from .gf import digit_planes
 from .matgf import (MatGF, eigen_profile, identity, inverse_det, right_kernel,
                     rref_rank_kernel, rref_stack, solve_linear,
@@ -229,12 +229,8 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     trace.record("step2", "pass", hA.a, hBs.a)
 
     # step 3: primary splits put both lambda-eigenspaces at span{e_1}
-    PA = primary_split_basis(hA, lamA)
-    PB = primary_split_basis(hBs, lamA)
-    PAinv, dA = inverse_det(PA)
-    PBinv, dB = inverse_det(PB)
-    if dA == 0 or dB == 0:
-        raise Singular("primary split basis is singular")
+    PA, PAinv = primary_split_basis(field, *resA[1:])
+    PB, PBinv = primary_split_basis(field, *resB[1:])  # hBs has hB's eigenvectors
     # frontal slices A_k = A[:, :, k], stacked along the first axis
     As = ops.matmul(ops.matmul(PA.a, np.moveaxis(A.a, 2, 0)), PAinv.a)
     Bs = ops.matmul(ops.matmul(PB.a, np.moveaxis(B.a, 2, 0)), PBinv.a)
@@ -405,11 +401,7 @@ def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats, rng
     n = fixed_first.rows
     A1 = fixed_first
     flat = np.stack([M.a.reshape(-1) for M in other_mats])
-    # kron(I, F_i^t) - kron(G_i, I) only places entries, so integer products
-    # with the 0/1 identity are exact for every field representation
-    eye = np.eye(n, dtype=np.int64)
-    Ft = np.stack([F.a.T for F in fixed_reduced])
-    kron_F = (eye[:, None, :, None] * Ft[:, None, :, None, :]).reshape(c - 1, n * n, n * n)
+    F = np.stack([Fi.a for Fi in fixed_reduced])
     out = []
     seen = set()
     size = max(1, _T4_CHUNK_CELLS // (c * n ** 4))
@@ -421,9 +413,7 @@ def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats, rng
         ok, B1inv = _invert_stack(field, B[:, 0])
         B, B1inv = B[ok], B1inv[ok]
         G = ops.matmul(B1inv[:, None], B[:, 1:])
-        kron_G = (G[:, :, :, None, :, None] * eye[:, None, :]).reshape(len(G), c - 1, n * n, n * n)
-        system = ops.sub(kron_F[None], kron_G).reshape(len(G), (c - 1) * n * n, n * n)
-        dims = n * n - rref_stack(field, system)[1]
+        dims = n * n - rref_stack(field, intertwiner_system(field, F, G))[1]
         for j in np.nonzero(dims == 1)[0]:
             reduced = tuple(MatGF(field, Gi) for Gi in G[j])
             cc = conj_coset(tuple(fixed_reduced), reduced, rng)
@@ -472,10 +462,7 @@ def _kernel_code_side(field, kernel_vecs, n, rng):
     # last M_i with a_i != 0
     last = int(np.flatnonzero(a)[-1])
     reduced = tuple(A1inv @ M for M in mats[:last] + mats[last + 1:])
-    if len(reduced) == 0:
-        scalars = (n == 1)
-    else:
-        scalars = len(intertwiner_space(reduced, reduced)) == 1
+    scalars = len(intertwiner_space(reduced, reduced)) == 1 if reduced else n == 1
     if not scalars:
         return None
     return A1, reduced, mats

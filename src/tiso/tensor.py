@@ -334,6 +334,8 @@ def gen_instance(problem: str, n: int, q, mode: str, seed):
     base, c = parse_mode(mode)
     if problem not in PROBLEMS:
         raise BadParams(f"unknown problem {problem!r}")
+    if n < 1:
+        raise BadParams("n must be >= 1")
     if base == "planted_corank":
         if problem != "t4":
             raise BadParams("planted_corank applies to the t4 problem only")

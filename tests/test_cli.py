@@ -237,6 +237,21 @@ def test_rmt_census_too_large_is_usage_error(capsys):
     assert err.count("\n") == 1 and "exceeds" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("rmt", "exact", "alpha", "--q", "3"),
+    ("rmt", "exact", "v_n", "--q", "3"),
+    ("rmt", "census", "alpha", "--q", "3"),
+    ("rmt", "mc", "unique_simple", "--q", "3"),
+    ("rmt", "census", "sigma", "--q", "3", "--n", "0"),
+    ("rmt", "mc", "corank_c", "--q", "3", "--n", "3", "--corank", "9"),
+    ("gen", "--problem", "t4", "--n", "0", "--p", "2"),
+    ("gen", "--problem", "algiso", "--n", "-2", "--p", "5"),
+    ("experiment", "--problem", "algiso", "--n", "0", "--p", "5", "--trials", "2"),
+], ids=" ".join)
+def test_missing_or_invalid_n_is_usage_error(capsys, argv):
+    _assert_one_line_error(capsys, *argv)
+
+
 def test_rmt_missing_quantity_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rmt", "exact", "--q", "2"])

@@ -470,41 +470,68 @@ def test_unique_simple_monte_carlo_matches_the_oracle_over_the_same_draws():
     assert rmt.monte_carlo("unique_simple", n, 8209, trials, seed)[0] == hits / trials
 
 
-def test_primary_split_basis_block_structure():
-    rng = np.random.default_rng(23)
-    done = 0
-    while done < 10:
-        A = random_matrix(F5, 6, 6, rng)
-        res = unique_simple_eigenvalue(A, rng=rng)
-        if res is None:
-            continue
-        lam = res[0]
-        P = primary_split_basis(A, lam)
-        Pinv, d = inverse_det(P)
-        assert d != 0
-        C = P @ A @ Pinv
-        assert C.a[0, 0] == lam
-        assert not C.a[1:, 0].any() and not C.a[0, 1:].any()
-        done += 1
-    with pytest.raises(NotSimpleEigenvalue):
-        primary_split_basis(identity(F5, 3), 1)
+def _primary_split_oracle(A: MatGF, lam: int):
+    """(P, P^-1) by eliminations: P^-1 = [w | RREF basis of the column space of
+    A - lam I], with w the canonical kernel vector of A - lam I, and P its
+    inverse.  None when the column space is not a hyperplane or P^-1 is
+    singular, that is, when lam is not a simple eigenvalue."""
+    field, n = A.field, A.rows
+    shifted = A - identity(field, n).scale(lam)
+    Rt, pivots = rref(field, shifted.a.T)
+    if len(pivots) != n - 1:
+        return None
+    w = right_kernel(shifted)[1][0]
+    Pinv = MatGF(field, np.concatenate([w[:, None], Rt[:n - 1].T], axis=1))
+    P, d = inverse_det(Pinv)
+    return None if d == 0 else (P, Pinv)
+
+
+def _assert_splits(A, lam, P, Pinv):
+    """P P^-1 = I and P A P^-1 = diag(lam, A_0)."""
+    assert P @ Pinv == identity(A.field, A.rows)
+    C = P @ A @ Pinv
+    assert C.a[0, 0] == lam
+    assert not C.a[1:, 0].any() and not C.a[0, 1:].any()
+
+
+@given(st.sampled_from(GATE_FIELDS), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_primary_split_basis_matches_the_elimination_oracle(field, seed):
+    rng = np.random.default_rng(seed)
+    res = None
+    while res is None:
+        A = _gate_input(field, "random", rng)
+        res = unique_simple_eigenvalue(A)
+    lam, v, w = res
+    P, Pinv = primary_split_basis(field, v, w)
+    assert (P, Pinv) == _primary_split_oracle(A, lam)
+    _assert_splits(A, lam, P, Pinv)
 
 
 def test_primary_split_basis_rejects_non_simple_eigenvalues():
     # a 2x2 Jordan block at lam: A - lam I has rank n - 1, but the
-    # eigenvector lies in its column space
-    with pytest.raises(NotSimpleEigenvalue):
-        primary_split_basis(mat(F5, [[3, 1], [0, 3]]), 3)
+    # eigenvector lies in its column space, so v.w = 0
+    jordan2 = mat(F5, [[3, 1], [0, 3]])
     jordan = mat(F5, [[3, 1, 0], [0, 3, 0], [0, 0, 1]])
-    with pytest.raises(NotSimpleEigenvalue):
-        primary_split_basis(jordan, 3)
-    # 2 is not an eigenvalue: A - 2 I has full rank
-    with pytest.raises(NotSimpleEigenvalue):
-        primary_split_basis(jordan, 2)
-    # the simple eigenvalue 1 of the same matrix splits off
-    P = primary_split_basis(jordan, 1)
-    C = P @ jordan @ inverse_det(P)[0]
-    assert C.a[0, 0] == 1 and not C.a[1:, 0].any() and not C.a[0, 1:].any()
+    for A, v, w in ((jordan2, [0, 1], [1, 0]), (jordan, [0, 1, 0], [1, 0, 0])):
+        assert (F5.ops.matmul(np.array([v]), A.a) == F5.ops.mul(np.array([v]), 3)).all()
+        assert (F5.ops.matmul(A.a, np.array([w]).T) == F5.ops.mul(np.array([w]).T, 3)).all()
+        with pytest.raises(NotSimpleEigenvalue):
+            primary_split_basis(F5, np.array(v), np.array(w))
+        assert _primary_split_oracle(A, 3) is None
+    # the gate never hands these over: a double eigenvalue, two eigenvalues,
+    # a plane of eigenvectors
+    for A in (jordan2, jordan, identity(F5, 3)):
+        assert unique_simple_eigenvalue(A) is None
+    # 2 is not an eigenvalue of the 3x3 matrix: A - 2 I has full rank, so
+    # there is no eigenvector pair to split with
+    assert not right_kernel(jordan - identity(F5, 3).scale(2))[1]
+    assert _primary_split_oracle(jordan, 2) is None
+    # its simple eigenvalue 1 splits off, with eigenvectors e_3 on both sides
+    _, right, left = rref_rank_kernel(jordan - identity(F5, 3))
+    P, Pinv = primary_split_basis(F5, left[0], right[0])
+    assert (P, Pinv) == _primary_split_oracle(jordan, 1)
+    _assert_splits(jordan, 1, P, Pinv)
 
 
 def test_solve_linear_both_sides():

@@ -287,6 +287,9 @@ def test_monte_carlo_validation():
         rmt.monte_carlo("nope", 4, 2, 200, seed=0)
     with pytest.raises(BadParams):
         rmt.monte_carlo("corank_c", 4, 2, 200, seed=0)
+    # corank c > n has no matrix to estimate over
+    with pytest.raises(BadParams):
+        rmt.monte_carlo("corank_c", 3, 3, 200, seed=0, c=9)
     # n = 0 is a usage error, not an estimate
     with pytest.raises(BadParams):
         rmt.monte_carlo("full_algebra_pair", 0, 3, 200, seed=0)
