@@ -34,12 +34,15 @@ class ConjCoset:
 
     kind is "Conjugate" (representative present), "NotConjugate", or
     "Undecided" (an invertible element may exist in the intertwiner span but
-    none was found within the randomized trial budget).
+    none was found within the randomized trial budget).  A Conjugate outcome
+    also carries the representative's inverse, from the elimination that
+    certified it.
     """
 
     kind: str
     representative: MatGF | None
     basis: list = dc_field(default_factory=list)
+    inverse: MatGF | None = None
 
     @property
     def dim(self) -> int:
@@ -91,16 +94,18 @@ def conj_coset(Atuple, Btuple, rng=None) -> ConjCoset:
         return ConjCoset("NotConjugate", None, [])
     if len(basis) == 1:
         X = basis[0]
-        if inverse_det(X)[1] != 0:
-            return ConjCoset("Conjugate", X, basis)
+        Xinv, d = inverse_det(X)
+        if d != 0:
+            return ConjCoset("Conjugate", X, basis, Xinv)
         return ConjCoset("NotConjugate", None, basis)
     rng = as_rng(rng)
     stack = np.stack([Bv.a for Bv in basis])
     for _ in range(8 * n):
         coeffs = rng.integers(0, field.q, size=len(basis))
         X = MatGF(field, mode_product(field, stack, coeffs[None], 0)[0])
-        if X.a.any() and inverse_det(X)[1] != 0:
-            return ConjCoset("Conjugate", X, basis)
+        Xinv, d = inverse_det(X)
+        if d != 0:
+            return ConjCoset("Conjugate", X, basis, Xinv)
     return ConjCoset("Undecided", None, basis)
 
 

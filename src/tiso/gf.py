@@ -8,7 +8,10 @@ A :class:`FieldSpec` carries the scalar arithmetic; :class:`FieldOps`
 (``spec.ops``) exposes vectorized counterparts on int64 arrays (base-p digit
 planes over extension fields) for the dense linear-algebra layer.
 `field_create` checks a modulus, and `FieldSpec.inv` inverts above the log-table
-limit, with :mod:`tiso.poly` over the prime field F_p.
+limit, with :mod:`tiso.poly` over the prime field F_p: the Rabin test takes
+powers t^(p^k) mod the modulus with `powmod`, a power of the modulus's
+companion matrix.  Powers of elements and arrays use the square-and-multiply
+`_power` of that module.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .errors import (
     NotPrime,
     ReducibleModulus,
 )
-from .poly import Poly, poly, poly_divmod, poly_eval, poly_gcd, poly_invmod, poly_sub, powmod
+from .poly import (Poly, _power, poly, poly_divmod, poly_eval, poly_gcd, poly_invmod, poly_sub,
+                   powmod)
 
 _MAX_P = 1 << 31
 _MAX_Q = 1 << 62
@@ -99,21 +103,6 @@ def _exhaustive_irreducible_check(f: Poly) -> bool:
             if poly_divmod(f, g)[1].is_zero():
                 return False
     return True
-
-
-def _power(mul, a, e: int, one):
-    """a^e for e >= 0 by square-and-multiply with `mul`, starting from `one`.
-
-    The base is squared only while bits of e remain, so no product is wasted.
-    """
-    acc, base = one, a
-    while e:
-        if e & 1:
-            acc = mul(acc, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return acc
 
 
 class FieldSpec:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSimpleEigenvalue, ShapeMismatch
-from .gf import FieldSpec, _power
-from .poly import Poly, poly, roots_in_Fq
+from .gf import FieldSpec
+from .poly import Poly, _power, poly, roots_in_Fq
 
 
 @dataclass

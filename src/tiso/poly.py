@@ -2,14 +2,14 @@
 
 Coefficients are canonical field reps, low-to-high, trailing zeros stripped.
 Root finding isolates the linear-factor part via gcd(f, t^q - t), with
-t^q mod f from `powmod`, which works on int64 coefficient vectors: each
-modular product is two `FieldOps` matrix products, one by a Toeplitz array
-of a factor and one by a reduction matrix of f.  A linear part of degree 1
-gives its root directly; a larger one is evaluated exhaustively (q <= 2^12)
-or split by randomized equal-degree splitting by quadratic residues.  That
-split needs odd q, which always holds there: `gf.field_create` caps the
-extension degree at 8, so every field of characteristic 2 has q <= 2^8 and
-takes the exhaustive path.
+t^q mod f from `powmod`: a power of the d x d matrix of multiplication by t
+modulo f, by the one square-and-multiply, `_power`, that `tiso.gf` and
+`tiso.matgf` import from here.  A linear part of degree 1 gives its root
+directly; a larger one is evaluated exhaustively (q <= 2^12) or split by
+randomized equal-degree splitting by quadratic residues.  That split needs
+odd q, which always holds there: `gf.field_create` caps the extension degree
+at 8, so every field of characteristic 2 has q <= 2^8 and takes the
+exhaustive path.
 
 `tiso.gf` tests its moduli for irreducibility and inverts extension-field
 elements with this module over F_p, so this module must not import `tiso.gf`
@@ -161,52 +161,44 @@ def poly_eval(f: Poly, a: int) -> int:
     return acc
 
 
-def _reduction_matrix(f: Poly) -> np.ndarray:
-    """The (2d - 1) x d array whose row j holds the coefficients of t^j mod f,
-    d = deg f >= 1: the identity, then d - 1 shifts by t that each subtract
-    the carried t^d term as a multiple of the made-monic f."""
-    F, d = f.field, f.degree
-    ops = F.ops
-    tail = ops.mul(np.array(f.coeffs[:-1], dtype=np.int64), F.inv(f.coeffs[-1]))
-    T = ops.zeros((2 * d - 1, d))
-    T[np.arange(d), np.arange(d)] = 1
-    for j in range(d, 2 * d - 1):
-        T[j, 1:] = T[j - 1, :-1]
-        T[j] = ops.sub(T[j], ops.mul(tail, T[j - 1, -1]))
-    return T
+def _power(mul, a, e: int, one):
+    """a^e for e >= 0 by square-and-multiply with `mul`, starting from `one`.
+
+    The base is squared only while bits of e remain, so no product is wasted.
+    """
+    acc, base = one, a
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return acc
 
 
 def powmod(base: Poly, e: int, modulus: Poly) -> Poly:
-    """base^e mod modulus by square-and-multiply on int64 coefficient vectors.
+    """base^e mod modulus as row 0 of M^e, M = base(C) the matrix of
+    multiplication by base on F[t]/(f), f the made-monic modulus.
 
-    Each step is two `FieldOps.matmul` calls.  Stacking acc (when the bit of
-    e is set) and b (when higher bits remain) against the d x (2d - 1)
-    Toeplitz array of b gives their full products with b; the reduction
-    matrix of the modulus takes those to degree < d = deg modulus.
+    Row i of the companion matrix C holds t^(i+1) mod f, so row i of M holds
+    t^i base mod f and the row vector of a residue v maps to that of v base.
+    The accumulator is that row vector, so only the squarings of M are d x d
+    `FieldOps` matrix products.
     """
     if modulus.degree < 1:
         raise DivideByZero("powmod modulus must be nonconstant")
     F, d = base.field, modulus.degree
     ops = F.ops
-    T = _reduction_matrix(modulus)
-    b = np.zeros(d, dtype=np.int64)
-    low = poly_divmod(base, modulus)[1].coeffs
-    b[:len(low)] = low
-    acc = np.zeros(d, dtype=np.int64)
-    acc[0] = 1
-    # entry (i, j) of the Toeplitz array of b is b[j - i], zero off the band
-    shift = np.arange(2 * d - 1)[None, :] - np.arange(d)[:, None]
-    band, shift = (shift >= 0) & (shift < d), shift.clip(0, d - 1)
-    while e:
-        rows = ([acc] if e & 1 else []) + ([b] if e > 1 else [])
-        toeplitz = np.where(band, b[shift], 0)
-        out = ops.matmul(ops.matmul(np.stack(rows), toeplitz), T)
-        if e & 1:
-            acc = out[0]
-        if e > 1:
-            b = out[-1]
-        e >>= 1
-    return poly(F, acc.tolist())
+    C = np.eye(d, k=1, dtype=np.int64)
+    C[-1] = ops.mul(np.array(modulus.coeffs[:-1], dtype=np.int64),
+                    F.neg(F.inv(modulus.coeffs[-1])))
+    M = ops.zeros((d, d))
+    # base(C) by Horner's rule over base mod f, skipping the product by zero
+    for k, c in enumerate(reversed(poly_divmod(base, modulus)[1].coeffs)):
+        if k:
+            M = ops.matmul(M, C)
+        M.flat[::d + 1] = ops.add(M.flat[::d + 1], c)
+    return poly(F, _power(ops.matmul, M, e, np.eye(1, d, dtype=np.int64))[0].tolist())
 
 
 def linear_factor_part(f: Poly) -> Poly:

@@ -765,10 +765,10 @@ def _mc_trial(stat: str, field: FieldSpec, n: int, rng, c) -> bool:
         return hull(code_from_matrices(field, mats, n)).dim == 1
     if stat == "unique_simple":
         A = random_matrix(field, n, n, rng)
-        return unique_simple_eigenvalue(A, rng=rng) is not None
+        return unique_simple_eigenvalue(A) is not None
     if stat == "unique_simple_nonzero":
         A = random_matrix(field, n, n, rng)
-        return unique_simple_eigenvalue(A, require_nonzero=True, rng=rng) is not None
+        return unique_simple_eigenvalue(A, require_nonzero=True) is not None
     if stat == "selfdual":
         A = random_matrix(field, n, n, rng)
         return trace_of_square(A) == 0
@@ -777,7 +777,7 @@ def _mc_trial(stat: str, field: FieldSpec, n: int, rng, c) -> bool:
         for _ in range(64 * field.q):
             A = random_matrix(field, n, n, rng)
             if trace_of_square(A) == 0:
-                return unique_simple_eigenvalue(A, rng=rng) is not None
+                return unique_simple_eigenvalue(A) is not None
         raise BadParams("self-dual rejection sampling failed to terminate")
     if stat == "full_algebra_pair":
         A1 = random_matrix(field, n, n, rng)

@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (BadParams, InvariantViolation, NotSimpleEigenvalue,
-                     ShapeMismatch, Singular)
+                     ShapeMismatch)
 from .codes import code_from_slices, hull, trace_gram
 from .conj import (FULL_SYSTEM_MAX_N, centralizer_is_scalars, conj_coset, conj_with_seed,
                    intertwiner_space, intertwiner_system)
@@ -148,8 +148,7 @@ def solve_algiso(A: Tensor3, B: Tensor3, rng=None):
     field, n = _check_pair3(A, B, 3)
     rng = as_rng(rng)
     trace = StageTrace()
-    simple = partial(unique_simple_eigenvalue, rng=rng)
-    simple_nonzero = partial(simple, require_nonzero=True)
+    simple_nonzero = partial(unique_simple_eigenvalue, require_nonzero=True)
 
     # steps 1-2: full horizontal slice codes with hulls of dimension 1
     hA, hB, stop = _hull_spanners(trace, A, B, "horizontal", n)
@@ -158,7 +157,7 @@ def solve_algiso(A: Tensor3, B: Tensor3, rng=None):
     trace.record("step2", "pass", hA.a, hB.a)
 
     # step 3: unique simple eigenvalues on the hull spanners
-    resA, resB, stop = _gate(trace, "step3", simple, hA, hB)
+    resA, resB, stop = _gate(trace, "step3", unique_simple_eigenvalue, hA, hB)
     if stop:
         return stop
     # hull spanners are only defined up to scale, so only zero-ness matches
@@ -214,7 +213,7 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     ops = field.ops
     rng = as_rng(rng)
     trace = StageTrace()
-    simple_nonzero = partial(unique_simple_eigenvalue, require_nonzero=True, rng=rng)
+    simple_nonzero = partial(unique_simple_eigenvalue, require_nonzero=True)
 
     # steps 1-2: full frontal slice codes with hulls of dimension 1, whose
     # spanners have nonzero unique simple eigenvalues
@@ -309,8 +308,6 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     if sol is None:
         return _notiso(trace, "step6")
     T = MatGF(field, sol[0])
-    if inverse_det(T)[1] == 0:
-        return _notiso(trace, "step6")
     S_orig = PBinv @ S @ PA
     if not verify_witness("mcc", A, B, {"S": S_orig, "T": T}):
         return _notiso(trace, "step6")
@@ -374,7 +371,7 @@ def _invert_stack(field, M):
     return pivots[:, :n].all(axis=1), R[:, :, n:]
 
 
-def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats, rng):
+def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats):
     """Kronecker-factor candidates mapping the enumerated code to the fixed one.
 
     fixed_first = A_1 (invertible), fixed_reduced = F = (A_1^{-1} A_i)_{i >= 2};
@@ -416,14 +413,12 @@ def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats, rng
         dims = n * n - rref_stack(field, intertwiner_system(field, F, G))[1]
         for j in np.nonzero(dims == 1)[0]:
             reduced = tuple(MatGF(field, Gi) for Gi in G[j])
-            cc = conj_coset(tuple(fixed_reduced), reduced, rng)
+            # a line of intertwiners: conj_coset draws nothing and returns R^{-1}
+            cc = conj_coset(tuple(fixed_reduced), reduced)
             if cc.kind != "Conjugate":
                 continue
             R = cc.representative
-            Rinv, dR = inverse_det(R)
-            if dR == 0:
-                raise Singular("conjugacy representative is singular")
-            Lt = A1 @ Rinv @ MatGF(field, B1inv[j])
+            Lt = A1 @ cc.inverse @ MatGF(field, B1inv[j])
             L = Lt.T
             KLR = kron(L, R)
             key = np.asarray(KLR.a, dtype=np.int64).tobytes()
@@ -433,7 +428,7 @@ def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats, rng
     return out
 
 
-def _kernel_code_side(field, kernel_vecs, n, rng):
+def _kernel_code_side(field, kernel_vecs, n):
     """(first invertible element, reduced tuple, full basis) for one kernel code.
 
     Scans the q^c code elements in enumeration order for an invertible one;
@@ -469,14 +464,18 @@ def _kernel_code_side(field, kernel_vecs, n, rng):
 
 
 def solve_t4(A: Tensor4, B: Tensor4, rng=None):
-    """Average-case isomorphism of two n x n x n x n tensors."""
+    """Average-case isomorphism of two n x n x n x n tensors.
+
+    Nothing is drawn from rng, which `solve` passes to every solver.
+    """
     if A.field != B.field:
         raise ShapeMismatch("inputs over different fields")
     n = A.dims[0]
     if A.dims != (n, n, n, n) or B.dims != A.dims:
         raise ShapeMismatch("inputs must be cubic 4-tensors of equal size")
+    if n < 1:
+        raise BadParams("side length must be >= 1")
     field = A.field
-    rng = as_rng(rng)
     trace = StageTrace()
 
     # step 1: flatten and take kernel codes
@@ -494,24 +493,24 @@ def solve_t4(A: Tensor4, B: Tensor4, rng=None):
     trace.record("step2", "pass", np.asarray([c]))
 
     # step 3: fixed bases with invertible first elements, scalar-centralizer gate
-    left_fixed = _kernel_code_side(field, leftA, n, rng)
+    left_fixed = _kernel_code_side(field, leftA, n)
     if left_fixed is None:
         return _fail(trace, "step3")
     trace.record("step3", "pass", left_fixed[0].a)
 
     # step 4: left-side Kronecker candidates
     matsB = [vec_to_matrix(field, v, n) for v in leftB]
-    K1 = _ordered_basis_candidates(field, left_fixed[0], left_fixed[1], matsB, rng)
+    K1 = _ordered_basis_candidates(field, left_fixed[0], left_fixed[1], matsB)
     if K1 is None:
         return _fail(trace, "step4")
     trace.record("step4", "pass", np.asarray([len(K1)]))
 
     # step 5: right-side candidates, same machinery
-    right_fixed = _kernel_code_side(field, rightA, n, rng)
+    right_fixed = _kernel_code_side(field, rightA, n)
     if right_fixed is None:
         return _fail(trace, "step5")
     matsBr = [vec_to_matrix(field, v, n) for v in rightB]
-    K2 = _ordered_basis_candidates(field, right_fixed[0], right_fixed[1], matsBr, rng)
+    K2 = _ordered_basis_candidates(field, right_fixed[0], right_fixed[1], matsBr)
     if K2 is None:
         return _fail(trace, "step5")
     trace.record("step5", "pass", np.asarray([len(K2)]))

@@ -218,29 +218,35 @@ def _first_nonzero_ratio(field: FieldSpec, C: np.ndarray, B: np.ndarray):
 
 
 def verify_witness(problem: str, A, B, witness: dict):
-    """Check a transformation bundle exactly.
+    """Check a transformation bundle exactly; a singular matrix rejects it.
 
     algiso: returns (ok, lam) where B = lam * act_algebra(A, T).
     mcc / t4: returns a plain boolean.
     """
+    if problem not in PROBLEMS:
+        raise BadParams(f"unknown problem {problem!r}")
+    if A.dims != B.dims:
+        raise ShapeMismatch("witness shape mismatch")
     if problem == "algiso":
         T = witness["T"]
-        if A.dims != B.dims or T.shape != (A.dims[0], A.dims[0]):
+        if T.shape != (A.dims[0], A.dims[0]):
             raise ShapeMismatch("witness shape mismatch")
-        C = act_algebra(A, T)
+        try:
+            C = act_algebra(A, T)
+        except Singular:
+            return False, None
         lam = _first_nonzero_ratio(A.field, C.a, B.a)
         return (lam is not None), lam
     if problem == "mcc":
         S, T = witness["S"], witness["T"]
-        if A.dims != B.dims:
-            raise ShapeMismatch("witness shape mismatch")
-        return act_code_conj(A, S, T) == B
-    if problem == "t4":
-        L, R, S, T = witness["L"], witness["R"], witness["S"], witness["T"]
-        if A.dims != B.dims:
-            raise ShapeMismatch("witness shape mismatch")
-        return act4(A, L, R, S, T) == B
-    raise BadParams(f"unknown problem {problem!r}")
+        try:
+            C = act_code_conj(A, S, T)
+        except Singular:
+            return False
+        # act_code_conj has inverted S; T is tested only on a match
+        return C == B and matgf.det(T) != 0
+    mats = [witness[k] for k in "LRST"]
+    return act4(A, *mats) == B and all(matgf.det(M) != 0 for M in mats)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,26 @@ def test_missing_or_invalid_n_is_usage_error(capsys, argv):
     _assert_one_line_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("problem", ["algiso", "mcc", "t4"])
+def test_solve_of_an_empty_instance_file_is_usage_error(tmp_path, capsys, problem):
+    inst = tmp_path / "empty.json"
+    inst.write_text(json.dumps({"problem": problem, "field": {"p": 2}, "n": 0,
+                                "A": [], "B": []}))
+    _assert_one_line_error(capsys, "solve", str(inst))
+
+
+@pytest.mark.parametrize("problem,key", [("algiso", "T"), ("mcc", "S")])
+def test_verify_rejects_a_singular_witness(tmp_path, capsys, problem, key):
+    inst, wit = tmp_path / "inst.json", tmp_path / "wit.json"
+    run(capsys, "gen", "--problem", problem, "--n", "4", "--p", "5", "--seed", "1",
+        "--out", str(inst), "--witness-out", str(wit))
+    doc = json.loads(wit.read_text())
+    doc["matrices"][key] = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    wit.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(inst), str(wit))
+    assert (code, out, err) == (EXIT_INTERNAL, "witness REJECTED\n", "")
+
+
 def test_rmt_missing_quantity_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rmt", "exact", "--q", "2"])

@@ -173,7 +173,7 @@ def test_kernel_code_side_extension_matches_greedy_oracle(field, c, seed):
         vecs = rng.integers(0, field.q, size=(c, n * n))
         if len(rref(field, vecs)[1]) == c:
             break
-    out = _kernel_code_side(field, list(vecs), n, None)
+    out = _kernel_code_side(field, list(vecs), n)
     if c == n * n:
         # the code is all of M(2, q), whose centralizer is the scalars
         assert out is not None

@@ -7,7 +7,7 @@ import pytest
 
 from tiso.errors import BadParams
 from tiso.gf import field_create
-from tiso.matgf import identity, inverse_det, random_invertible
+from tiso.matgf import identity, inverse_det, mat, random_invertible
 from tiso.tensor import (Tensor3, Tensor4, act3, act4, act_algebra,
                          act_code_conj, field_from_q, flatten4, gen_instance,
                          instance_from_json, instance_to_json, kron,
@@ -179,6 +179,27 @@ def test_verify_witness_rejects_wrong_transform():
     bad = {"T": identity(A.field, 4)}
     ok, _lam = verify_witness("algiso", A, B, bad)
     assert not ok
+
+
+def test_verify_witness_rejects_singular_matrices_that_reproduce_b():
+    rng = np.random.default_rng(3)
+    A = _rand3(F5, 3, 1)
+    S = random_invertible(F5, 3, rng)
+    T0 = mat(F5, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    assert verify_witness("mcc", A, act_code_conj(A, S, T0), {"S": S, "T": T0}) is False
+    F2 = field_create(2)
+    A4 = _rand4(F2, 2, 1)
+    L0 = mat(F2, [[1, 1], [1, 1]])
+    R, S2, T2 = (random_invertible(F2, 2, rng) for _ in range(3))
+    B4 = act4(A4, L0, R, S2, T2)
+    assert verify_witness("t4", A4, B4, {"L": L0, "R": R, "S": S2, "T": T2}) is False
+
+
+def test_verify_witness_rejects_singular_matrices_that_cannot_act():
+    A = _rand3(F5, 3, 1)
+    T0 = mat(F5, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    assert verify_witness("algiso", A, A, {"T": T0}) == (False, None)
+    assert verify_witness("mcc", A, A, {"S": T0, "T": identity(F5, 3)}) is False
 
 
 def test_prime_power_matches_trial_division():
