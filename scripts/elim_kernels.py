@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Kernel rows for the elimination row update: the best-of-N wall time, in
+ms, of `matgf._pivot_loop` on one seeded random matrix per row and of
+`matgf.rref_stack` on one seeded random stack, over the fields the benchmark
+workloads use.
+
+Each row runs once untimed first, so lazily built field tables are not
+timed.  Prints one JSON object; its "rows" are the kernel rows of
+BENCH_elimination.json.
+
+Example:
+    python3 scripts/elim_kernels.py --repeats 5
+"""
+
+import argparse
+import json
+import sys
+import time
+
+import numpy as np
+
+from tiso import cli
+from tiso.gf import field_create
+from tiso.matgf import _pivot_loop, rref_stack
+
+# (kernel, (p, m), shape)
+ROWS = [
+    ("_pivot_loop", ((1 << 20) + 7, 1), (64, 192)),
+    ("_pivot_loop", ((1 << 20) + 7, 1), (64, 128)),
+    ("_pivot_loop", (5, 1), (24, 72)),
+    ("_pivot_loop", (2, 8), (16, 48)),
+    ("_pivot_loop", (3, 5), (16, 48)),
+    ("_pivot_loop", (5, 7), (8, 24)),
+    ("rref_stack", (2, 1), (512, 9, 18)),
+]
+
+
+def best_ms(f, repeats):
+    f()
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        f()
+        best = min(best, time.perf_counter() - t0)
+    return round(1000 * best, 3)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeats", type=int, default=5, help="timed runs per row, >= 1")
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
+    rows = []
+    for kernel, pm, shape in ROWS:
+        field = field_create(*pm)
+        M = np.random.default_rng(1).integers(0, field.q, size=shape)
+        f = {"_pivot_loop": _pivot_loop, "rref_stack": rref_stack}[kernel]
+        rows.append({"kernel": kernel, "field": str(field), "shape": list(shape),
+                     "best_ms": best_ms(lambda: f(field, M), args.repeats)})
+    print(json.dumps({"repeats": args.repeats, "rows": rows}, indent=1))
+
+
+if __name__ == "__main__":
+    sys.exit(cli.quiet_on_closed_pipe(main))

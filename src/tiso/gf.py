@@ -6,7 +6,9 @@ For prime fields (m = 1) this is just the usual integer residue.
 
 A :class:`FieldSpec` carries the scalar arithmetic; :class:`FieldOps`
 (``spec.ops``) exposes vectorized counterparts on int64 arrays (base-p digit
-planes over extension fields) for the dense linear-algebra layer.
+planes over extension fields) for the dense linear-algebra layer, and the
+fused x - a*b of every elimination row update, `FieldOps.submul`: two gathers
+from q x q byte tables for q <= 256, one reduction on larger prime fields.
 `field_create` checks a modulus, and `FieldSpec.inv` inverts above the log-table
 limit, with :mod:`tiso.poly` over the prime field F_p: the Rabin test takes
 powers t^(p^k) mod the modulus with `powmod`, a power of the modulus's
@@ -39,6 +41,7 @@ from .poly import (Poly, _power, poly, poly_divmod, poly_eval, poly_gcd, poly_in
 _MAX_P = 1 << 31
 _MAX_Q = 1 << 62
 _TABLE_LIMIT = 1 << 16  # build log/antilog tables for extension fields up to here
+_BYTE_TABLE_LIMIT = 256  # q x q uint8 mul and sub tables for `FieldOps.submul` up to here
 
 
 def is_prime(n: int) -> bool:
@@ -394,7 +397,9 @@ class FieldOps:
     stays below 2^53, one int64 product below 2^62, and splits B into 16-bit
     limbs beyond that.  Extension fields work on the m base-p digit planes of an
     array: `matmul`, and `mul` above the log-table limit, fold m^2 prime-field
-    plane products by the modulus; addition is digitwise.
+    plane products by the modulus; addition is digitwise.  `submul` (x - a*b)
+    gathers twice from q x q uint8 mul and sub tables for q <= 256, and takes
+    one `%` on larger prime fields (delayed reduction, as in FFLAS-FFPACK).
     """
 
     dtype = np.int64
@@ -461,6 +466,24 @@ class FieldOps:
         x, y = np.broadcast_arrays(x, y)
         # log[0] is a placeholder; products with a zero factor are zero
         return np.where((x != 0) & (y != 0), exp[(log[x] + log[y]) % (self.q - 1)], 0)
+
+    def submul(self, x, a, b):
+        """x - a*b elementwise, broadcast, as int64."""
+        if self.q <= _BYTE_TABLE_LIMIT:
+            mul, sub = self._byte_tables
+            return sub[np.asarray(x, dtype=np.int64) * self.q + mul[a * self.q + b]].astype(np.int64)
+        if self.prime:
+            # a*b < 2^62 for p < 2^31, so one reduction is exact
+            return (x - a * b) % self.p
+        return self.sub(x, self.mul(a, b))
+
+    @cached_property
+    def _byte_tables(self):
+        """Flat uint8 mul[a q + b] = a*b and sub[a q + b] = a - b, a row at a time."""
+        mul, sub = np.empty((2, self.q, self.q), dtype=np.uint8)
+        for a in range(self.q):
+            mul[a], sub[a] = self.mul(a, np.arange(self.q)), self.sub(a, np.arange(self.q))
+        return mul.ravel(), sub.ravel()
 
     def sum(self, x, axis=None):
         """Field sum of the entries of x along axis (all entries by default)."""

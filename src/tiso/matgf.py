@@ -11,7 +11,9 @@ wide matrix of at least `_WIDE_MIN_ROWS` rows or a tall matrix: there the
 loop runs only on a narrow column window or on row blocks, and the bulk of
 the work is one `FieldOps.matmul` (rank-profile elimination after Dumas,
 Giorgi and Pernet, FFLAS-FFPACK, and Jeannerod, Pernet and Storjohann,
-2013).  `rref_stack` runs the loop over a stack of matrices at once.
+2013).  `rref_stack` runs the loop over a stack of matrices at once.  Each
+pivot updates all rows from its column on with one fused x - a*b,
+`FieldOps.submul`, as do the Hessenberg reduction and charpoly recurrence.
 `right_kernel` takes one elimination (`rref_rank_kernel` adds the left
 kernel), and `solve_linear` reads the solutions for many right-hand sides and
 the kernel off one elimination of [A | b].
@@ -187,11 +189,11 @@ def _pivot_loop(field: FieldSpec, M: np.ndarray):
             d = field.neg(d)
         piv = int(R[r, c])
         d = field.mul(d, piv)
-        R[r] = ops.mul(R[r], ops.scalar_inv(piv))
-        other = np.nonzero(R[:, c])[0]
-        other = other[other != r]
-        if len(other):
-            R[other] = ops.sub(R[other], ops.mul(R[other, c][:, None], R[r][None, :]))
+        # columns before c are zero in row r, so the update starts at c
+        R[r, c:] = ops.mul(R[r, c:], ops.scalar_inv(piv))
+        factors = R[:, c].copy()
+        factors[r] = 0
+        R[:, c:] = ops.submul(R[:, c:], factors[:, None], R[r, c:][None, :])
         pivots.append(c)
         r += 1
     return R, pivots, d
@@ -219,11 +221,11 @@ def rref_stack(field: FieldSpec, M: np.ndarray):
         r = ranks[s]
         pr = cand[s].argmax(axis=1)
         R[s, r], R[s, pr] = R[s, pr], R[s, r]
-        row = ops.mul(R[s, r], ops.inv(R[s, r, c])[:, None])
+        row = ops.mul(R[s, r, c:], ops.inv(R[s, r, c])[:, None])
         factors = R[s, :, c].copy()
         factors[np.arange(len(s)), r] = 0
-        R[s] = ops.sub(R[s], ops.mul(factors[:, :, None], row[:, None, :]))
-        R[s, r] = row
+        R[s, :, c:] = ops.submul(R[s, :, c:], factors[:, :, None], row[:, None, :])
+        R[s, r, c:] = row
         pivots[s, c] = True
         ranks[s] += 1
     return R, ranks, pivots
@@ -324,7 +326,7 @@ def _hessenberg(field: FieldSpec, M: np.ndarray) -> np.ndarray:
         inv = ops.scalar_inv(H[k + 1, k])
         factors = ops.mul(H[k + 2:, k], inv)
         if factors.shape[0]:
-            H[k + 2:, :] = ops.sub(H[k + 2:, :], ops.mul(factors[:, None], H[k + 1, :][None, :]))
+            H[k + 2:, :] = ops.submul(H[k + 2:, :], factors[:, None], H[k + 1, :][None, :])
             # inverse similarity on columns: col_{k+1} += sum_i factor_i * col_i
             contrib = ops.matmul(H[:, k + 2:], factors[:, None])[:, 0]
             H[:, k + 1] = ops.add(H[:, k + 1], contrib)
@@ -353,7 +355,7 @@ def _charpoly_hessenberg(field: FieldSpec, H: np.ndarray) -> Poly:
     for k in range(1, n + 1):
         pk = ops.zeros(n + 1)
         pk[1:] = P[k - 1, :-1]  # t * p_{k-1}
-        pk = ops.sub(pk, ops.mul(H[k - 1, k - 1], P[k - 1]))
+        pk = ops.submul(pk, H[k - 1, k - 1], P[k - 1])
         if k > 1:
             s = H[k - 1, k - 2]
             sub[1:k - 1] = ops.mul(sub[1:k - 1], s)

@@ -530,6 +530,7 @@ def solve_t4(A: Tensor4, B: Tensor4, rng=None):
 
 
 def solve(problem: str, A, B, rng=None):
+    rng = as_rng(rng)  # a negative seed is a usage error for every problem
     if problem == "algiso":
         return solve_algiso(A, B, rng)
     if problem == "mcc":

@@ -246,6 +246,8 @@ def verify_witness(problem: str, A, B, witness: dict):
         # act_code_conj has inverted S; T is tested only on a match
         return C == B and matgf.det(T) != 0
     mats = [witness[k] for k in "LRST"]
+    if any(M.shape != (d, d) for M, d in zip(mats, A.dims)):
+        raise ShapeMismatch("witness shape mismatch")
     return act4(A, *mats) == B and all(matgf.det(M) != 0 for M in mats)
 
 
@@ -256,6 +258,8 @@ def verify_witness(problem: str, A, B, witness: dict):
 def as_rng(seed):
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise BadParams(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 
 

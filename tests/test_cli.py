@@ -272,6 +272,39 @@ def test_verify_rejects_a_singular_witness(tmp_path, capsys, problem, key):
     assert (code, out, err) == (EXIT_INTERNAL, "witness REJECTED\n", "")
 
 
+def test_verify_rejects_a_misshapen_t4_witness(tmp_path, capsys):
+    inst, wit = tmp_path / "inst.json", tmp_path / "wit.json"
+    run(capsys, "gen", "--problem", "t4", "--n", "2", "--p", "2", "--seed", "1",
+        "--out", str(inst), "--witness-out", str(wit))
+    doc = json.loads(wit.read_text())
+    doc["matrices"]["T"] = [[1, 0], [0, 1], [1, 1]]
+    wit.write_text(json.dumps(doc))
+    _assert_one_line_error(capsys, "verify", str(inst), str(wit))
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--problem", "algiso", "--n", "4", "--p", "5", "--seed", "-1"),
+    ("rmt", "mc", "hull_dim1", "--n", "4", "--q", "5", "--trials", "100", "--seed", "-1"),
+], ids=" ".join)
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    _assert_one_line_error(capsys, *argv, "--out", str(tmp_path / "never.json"))
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("problem", ["algiso", "mcc", "t4"])
+def test_solve_with_a_negative_seed_is_usage_error(tmp_path, capsys, problem):
+    inst = tmp_path / "inst.json"
+    run(capsys, "gen", "--problem", problem, "--n", "2" if problem == "t4" else "4", "--p", "2",
+        "--seed", "1", "--out", str(inst))
+    _assert_one_line_error(capsys, "solve", str(inst), "--seed", "-1")
+
+
+def test_experiment_hashes_a_negative_master_seed(capsys):
+    code, out, _ = run(capsys, "experiment", "--problem", "algiso", "--n", "4", "--p", "5",
+                       "--trials", "2", "--seed", "-1")
+    assert code == EXIT_OK and json.loads(out)["config"]["master_seed"] == -1
+
+
 def test_rmt_missing_quantity_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rmt", "exact", "--q", "2"])

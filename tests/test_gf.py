@@ -327,6 +327,38 @@ def test_field_ops_match_scalar_arithmetic(spec, data):
     assert got.tolist() == [[_dot(spec, row, col) for col in zip(*B)] for row in A]
 
 
+# both sides of the byte-table limit q = 256, prime and extension fields, and
+# the one-reduction prime path up to 2^31 - 1
+SUBMUL_FIELDS = [field_create(2), field_create(5), field_create(251), field_create(257),
+                 field_create(2, 2), field_create(2, 8), field_create(3, 5), field_create(5, 7),
+                 field_create((1 << 20) + 7), field_create((1 << 31) - 1)]
+
+
+@pytest.mark.parametrize("spec", SUBMUL_FIELDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_submul_matches_scalar_arithmetic(spec, data):
+    """x - a*b broadcast as the row updates use it: a column of factors
+    against one row, (k, 1) x (1, c), and per slice of a stack,
+    (k, r, 1) x (k, 1, c); sometimes every operand is q - 1."""
+    top = data.draw(st.booleans())
+    elems = st.just(spec.q - 1) if top else st.one_of(st.sampled_from([0, 1, spec.q - 1]),
+                                                       st.integers(0, spec.q - 1))
+    k, r, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+
+    def draw(shape):
+        flat = data.draw(st.lists(elems, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    for shape, a_shape, b_shape in [((k, c), (k, 1), (1, c)), ((k, r, c), (k, r, 1), (k, 1, c))]:
+        x, a, b = draw(shape), draw(a_shape), draw(b_shape)
+        got = spec.ops.submul(x, a, b)
+        assert got.dtype == np.int64 and got.shape == shape
+        want = [spec.sub(int(xi), spec.mul(int(ai), int(bi)))
+                for xi, ai, bi in zip(*(np.broadcast_to(v, shape).ravel() for v in (x, a, b)))]
+        assert got.ravel().tolist() == want
+
+
 # each side of the float64 tier's limit k (p-1)^2 < 2^53 (k = 8191 / 8192 at
 # 2^20 + 7, 8 / 9 just below 2^25), of the int64 limit 2^62 (4096 / 4097), and
 # the limb split near 2^31

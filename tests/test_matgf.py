@@ -19,9 +19,11 @@ from tiso.poly import poly, poly_eval, roots_in_Fq
 
 F5 = field_create(5)
 F4 = field_create(2, 2)
-# one field per FieldOps backend and on both sides of the int64 threshold
+# one field per FieldOps backend and on both sides of the int64 threshold;
+# GF(2), GF(4) and GF(2^8) are both ends of the byte tables of
+# `FieldOps.submul`, and GF(257) is the first prime past them
 KERNEL_FIELDS = [F5, field_create((1 << 20) + 7), field_create((1 << 31) - 1),
-                 field_create(2, 8), field_create(3, 5)]
+                 field_create(2, 8), field_create(3, 5), field_create(2), F4, field_create(257)]
 
 
 def _rand(field, r, c, seed):
@@ -333,8 +335,8 @@ def test_charpoly_matches_determinant_evaluation():
                 shifted = identity(field, n).scale(lam) - A
                 assert poly_eval(cp, lam) == det(shifted)
     # just above 2^25, and near 2^31, where a raw int64 dot in the recurrence
-    # overflows
-    for field in (field_create(33554467), field_create((1 << 31) - 1)):
+    # overflows; GF(2^8), the largest field of the byte tables
+    for field in (field_create(33554467), field_create((1 << 31) - 1), field_create(2, 8)):
         for n in (2, 5, 8, 12):
             A = random_matrix(field, n, n, rng)
             cp = charpoly(A)
