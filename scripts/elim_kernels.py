@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Kernel rows for the elimination row update: the best-of-N wall time, in
-ms, of `matgf._pivot_loop` on one seeded random matrix per row and of
-`matgf.rref_stack` on one seeded random stack, over the fields the benchmark
-workloads use.
+"""Kernel rows for the elimination row update and the extension-field
+products: the best-of-N wall time, in ms, of `matgf._pivot_loop` on one
+seeded random matrix per row, of `matgf.rref_stack` on one seeded random
+stack, and of `FieldOps.matmul`, `mul` and `submul` on seeded random
+operands, over the fields the benchmark workloads use.
 
 Each row runs once untimed first, so lazily built field tables are not
 timed.  Prints one JSON object; its "rows" are the kernel rows of
-BENCH_elimination.json.
+BENCH_elimination.json and BENCH_plane_products.json.
 
 Example:
     python3 scripts/elim_kernels.py --repeats 5
@@ -23,15 +24,38 @@ from tiso import cli
 from tiso.gf import field_create
 from tiso.matgf import _pivot_loop, rref_stack
 
-# (kernel, (p, m), shape)
+# each takes the field, then the operands
+KERNELS = {
+    "_pivot_loop": _pivot_loop,
+    "rref_stack": rref_stack,
+    "matmul": lambda field, *xs: field.ops.matmul(*xs),
+    "mul": lambda field, *xs: field.ops.mul(*xs),
+    "submul": lambda field, *xs: field.ops.submul(*xs),
+}
+
+# (kernel, (p, m), operand shapes)
 ROWS = [
-    ("_pivot_loop", ((1 << 20) + 7, 1), (64, 192)),
-    ("_pivot_loop", ((1 << 20) + 7, 1), (64, 128)),
-    ("_pivot_loop", (5, 1), (24, 72)),
-    ("_pivot_loop", (2, 8), (16, 48)),
-    ("_pivot_loop", (3, 5), (16, 48)),
-    ("_pivot_loop", (5, 7), (8, 24)),
-    ("rref_stack", (2, 1), (512, 9, 18)),
+    ("_pivot_loop", ((1 << 20) + 7, 1), [(64, 192)]),
+    ("_pivot_loop", ((1 << 20) + 7, 1), [(64, 128)]),
+    ("_pivot_loop", (5, 1), [(24, 72)]),
+    ("_pivot_loop", (2, 8), [(16, 48)]),
+    ("_pivot_loop", (3, 5), [(16, 48)]),
+    ("_pivot_loop", (5, 7), [(8, 24)]),
+    ("rref_stack", (2, 1), [(512, 9, 18)]),
+    ("matmul", (2, 8), [(16, 16), (16, 16)]),
+    ("matmul", (2, 8), [(16, 16), (16, 224)]),
+    ("matmul", (2, 8), [(16, 16), (16, 256)]),
+    ("matmul", (2, 8), [(16, 16), (16, 16, 16)]),
+    ("matmul", (2, 8), [(64, 64), (64, 64)]),
+    ("matmul", (3, 5), [(16, 16), (16, 16)]),
+    ("matmul", (3, 5), [(64, 64), (64, 64)]),
+    ("matmul", (5, 7), [(16, 16), (16, 16)]),
+    ("matmul", (5, 7), [(64, 64), (64, 64)]),
+    ("matmul", ((1 << 20) + 7, 1), [(64, 64), (64, 64)]),
+    ("mul", (5, 7), [(64, 24), (64, 24)]),
+    ("mul", (5, 7), [(8,), (8,)]),
+    ("submul", (5, 7), [(8, 24), (8, 1), (1, 24)]),
+    ("submul", (5, 7), [(16, 48), (16, 1), (1, 48)]),
 ]
 
 
@@ -53,12 +77,14 @@ def main():
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
     rows = []
-    for kernel, pm, shape in ROWS:
+    for kernel, pm, shapes in ROWS:
         field = field_create(*pm)
-        M = np.random.default_rng(1).integers(0, field.q, size=shape)
-        f = {"_pivot_loop": _pivot_loop, "rref_stack": rref_stack}[kernel]
-        rows.append({"kernel": kernel, "field": str(field), "shape": list(shape),
-                     "best_ms": best_ms(lambda: f(field, M), args.repeats)})
+        rng = np.random.default_rng(1)
+        operands = [rng.integers(0, field.q, size=shape) for shape in shapes]
+        f = KERNELS[kernel]
+        rows.append({"kernel": kernel, "field": str(field),
+                     "shape": [list(s) for s in shapes] if len(shapes) > 1 else list(shapes[0]),
+                     "best_ms": best_ms(lambda: f(field, *operands), args.repeats)})
     print(json.dumps({"repeats": args.repeats, "rows": rows}, indent=1))
 
 

@@ -9,6 +9,8 @@ A :class:`FieldSpec` carries the scalar arithmetic; :class:`FieldOps`
 planes over extension fields) for the dense linear-algebra layer, and the
 fused x - a*b of every elimination row update, `FieldOps.submul`: two gathers
 from q x q byte tables for q <= 256, one reduction on larger prime fields.
+Extension-field products sum their digit-plane products unreduced in float64
+while every partial sum stays below 2^53, and reduce once per product.
 `field_create` checks a modulus, and `FieldSpec.inv` inverts above the log-table
 limit, with :mod:`tiso.poly` over the prime field F_p: the Rabin test takes
 powers t^(p^k) mod the modulus with `powmod`, a power of the modulus's
@@ -354,14 +356,18 @@ def digit_planes(x, base: int, count: int) -> np.ndarray:
     t = np.array(x, dtype=np.int64)
     planes = np.empty((count,) + t.shape, dtype=np.int64)
     for i in range(count):
-        planes[i] = t % base
-        t //= base
+        np.divmod(t, base, out=(t, planes[i, ...]))
     return planes
 
 
 def join_digit_planes(planes, base: int):
     """The integers whose base-`base` digits, lowest first, are `planes`."""
     return sum(d * base ** i for i, d in enumerate(planes))
+
+
+def _lead(planes, ndim):
+    """planes padded to ndim axes, so that they broadcast as their arrays do."""
+    return planes.reshape(planes.shape[:1] + (1,) * (ndim - planes.ndim) + planes.shape[1:])
 
 
 def _matmul_mod(A, B, p: int):
@@ -395,11 +401,12 @@ class FieldOps:
     use int64 modular arithmetic: p < 2^31 keeps every product of two reps
     below 2^62.  `matmul` is one float64 BLAS product while every dot product
     stays below 2^53, one int64 product below 2^62, and splits B into 16-bit
-    limbs beyond that.  Extension fields work on the m base-p digit planes of an
-    array: `matmul`, and `mul` above the log-table limit, fold m^2 prime-field
-    plane products by the modulus; addition is digitwise.  `submul` (x - a*b)
-    gathers twice from q x q uint8 mul and sub tables for q <= 256, and takes
-    one `%` on larger prime fields (delayed reduction, as in FFLAS-FFPACK).
+    limbs beyond that.  Extension fields work on the m base-p digit planes of
+    an array: `matmul`, and `mul` and `submul` above the log-table limit, sum
+    plane products unreduced in float64 below 2^53 (`_product`) and fold them
+    by the modulus; addition is digitwise.  `submul` (x - a*b) gathers twice
+    from q x q uint8 mul and sub tables for q <= 256, and takes one `%` on
+    larger prime fields (delayed reduction, as in FFLAS-FFPACK).
     """
 
     dtype = np.int64
@@ -423,24 +430,40 @@ class FieldOps:
         planes = [digit_planes(x, p, m) for x in np.broadcast_arrays(*xs)]
         return join_digit_planes(f(*planes) % p, p)
 
-    def _product(self, x, y, product):
-        """The extension-field product of x and y, where product(a, b, p) is
-        the F_p product (`*` or `_matmul_mod`) of one digit plane a of x with
-        every digit plane of y.  Planes i of x and j of y add into the
-        convolution plane of t^(i+j); the fold maps those 2m - 1 planes to the
-        m digit planes of the product reduced by the modulus."""
+    def _product(self, x, y, matmul, minus=None):
+        """x @ y (`matmul`) or x * y, or minus - x * y, over the extension
+        field; operands broadcast as in numpy.  Plane i of x times the stacked
+        planes of y adds into the convolution planes of t^i .. t^(i+m-1), which
+        the fold maps to the m digit planes reduced by the modulus.  A plane
+        sums at most m k (p-1)^2 (k the inner dimension, 1 elementwise): below
+        2^53 the planes are summed unreduced in float64, as exact integers, and
+        reduced once, after the fold if (2m-1)(p-1) m k (p-1)^2 < 2^53 too and
+        before it otherwise.  Past 2^53 each plane product is reduced mod p."""
         m, p = self.spec.m, self.p
+        bound = m * (np.shape(x)[-1] if matmul else 1) * (p - 1) ** 2
         X, Y = digit_planes(x, p, m), digit_planes(y, p, m)
-        # unit axes line the planes of y up with every plane of x
-        Y = Y.reshape((m,) + (1,) * (X.ndim - Y.ndim) + Y.shape[1:])
+        Y = _lead(Y, X.ndim)
+        if bound < 1 << 53:
+            X, Y = X.astype(np.float64), Y.astype(np.float64)
+            product = np.matmul if matmul else np.multiply
+        else:
+            product = (lambda a, b: _matmul_mod(a, b, p)) if matmul else (lambda a, b: a * b % p)
         for i in range(m):
-            term = product(X[i], Y, p)
+            term = product(X[i], Y)
             if i == 0:
-                conv = np.zeros((2 * m - 1,) + term.shape[1:], dtype=np.int64)
+                conv = np.zeros((2 * m - 1,) + term.shape[1:], dtype=term.dtype)
             conv[i:i + m] += term
-        conv %= p
-        out = _matmul_mod(self._fold, conv.reshape(2 * m - 1, -1), p)
-        return join_digit_planes(out, p).reshape(conv.shape[1:])
+        flat = conv.reshape(2 * m - 1, -1)
+        if (2 * m - 1) * (p - 1) * bound < 1 << 53:
+            out = self._fold.astype(np.float64) @ flat
+        else:
+            out = _matmul_mod(self._fold, flat.astype(np.int64) % p, p)
+        # an int64 `%` is far cheaper than a float64 one
+        out = out.astype(np.int64).reshape((m,) + conv.shape[1:])
+        if minus is not None:
+            X0 = digit_planes(minus, p, m)
+            out = _lead(X0, out.ndim) - _lead(out, X0.ndim)
+        return join_digit_planes(out % p, p)
 
     def add(self, x, y):
         if self.prime:
@@ -461,7 +484,7 @@ class FieldOps:
         if self.prime:
             return (x * y) % self.p
         if self.spec._tables is None:
-            return self._product(x, y, lambda a, b, p: a * b % p)
+            return self._product(x, y, False)
         log, exp = self.spec._tables
         x, y = np.broadcast_arrays(x, y)
         # log[0] is a placeholder; products with a zero factor are zero
@@ -475,6 +498,8 @@ class FieldOps:
         if self.prime:
             # a*b < 2^62 for p < 2^31, so one reduction is exact
             return (x - a * b) % self.p
+        if self.spec._tables is None:
+            return self._product(a, b, False, x)
         return self.sub(x, self.mul(a, b))
 
     @cached_property
@@ -507,4 +532,4 @@ class FieldOps:
 
     def matmul(self, A, B):
         """A @ B; leading axes of either operand are stack axes, as in numpy."""
-        return _matmul_mod(A, B, self.p) if self.prime else self._product(A, B, _matmul_mod)
+        return _matmul_mod(A, B, self.p) if self.prime else self._product(A, B, True)

@@ -17,8 +17,9 @@ import tiso
 from tiso import rmt
 from tiso.errors import (BadParams, DegreeMismatch, DivideByZero, NotPrime,
                          ReducibleModulus)
-from tiso.gf import (FieldSpec, _is_irreducible, absolute_trace, additive_character,
-                     field_create, is_prime)
+from tiso.gf import (FieldSpec, _is_irreducible, _matmul_mod, absolute_trace,
+                     additive_character, digit_planes, field_create, is_prime,
+                     join_digit_planes)
 from tiso.poly import poly
 
 FIELDS = [field_create(2), field_create(5), field_create(2, 3),
@@ -385,9 +386,10 @@ def test_prime_matmul_exact_at_the_overflow_limit(p, k):
 
 @pytest.mark.parametrize("k", [3, 4, 64])
 def test_extension_matmul_exact_with_the_largest_digits(k):
-    # every digit of q - 1 is p - 1, so a digit-plane product reaches k (p-1)^2:
-    # past 2^63 from k = 3 over GF((2^31-1)^2) without the limb split, and on
-    # the float64 tier over GF(2^8) and GF(3^5)
+    # every digit of q - 1 is p - 1, so the middle convolution plane reaches
+    # m k (p-1)^2: past 2^63 from k = 3 over GF((2^31-1)^2), whose plane
+    # products take the reduced path and the limb split, while over GF(2^8)
+    # and GF(3^5) the planes and the fold are summed unreduced in float64
     rng = np.random.default_rng(k)
     for spec in (field_create((1 << 31) - 1, 2), field_create(2, 8), field_create(3, 5)):
         top = spec.q - 1
@@ -398,6 +400,121 @@ def test_extension_matmul_exact_with_the_largest_digits(k):
         B = rng.integers(0, spec.q, size=(k, 2))
         assert spec.ops.matmul(A, B).tolist() == [[_dot(spec, row, col) for col in B.T.tolist()]
                                                   for row in A.tolist()]
+
+
+def _product_oracle(ops, x, y, product):
+    """The extension-field product with every digit-plane product reduced
+    mod p on its own, product(a, b, p) being `_matmul_mod` or `*` mod p, and
+    the 2m - 1 convolution planes reduced once more before the fold."""
+    m, p = ops.spec.m, ops.p
+    X, Y = digit_planes(x, p, m), digit_planes(y, p, m)
+    Y = Y.reshape((m,) + (1,) * (X.ndim - Y.ndim) + Y.shape[1:])
+    for i in range(m):
+        term = product(X[i], Y, p)
+        if i == 0:
+            conv = np.zeros((2 * m - 1,) + term.shape[1:], dtype=np.int64)
+        conv[i:i + m] += term
+    conv %= p
+    out = _matmul_mod(ops._fold, conv.reshape(2 * m - 1, -1), p)
+    return join_digit_planes(out, p).reshape(conv.shape[1:])
+
+
+# (x shape, y shape) per kind: 2-D, stacked on either side, broadcast,
+# scalar with array, empty and 1 x 1
+ORACLE_SHAPES = {
+    "matmul": [((3, 4), (4, 5)), ((16, 16), (16, 16, 16)), ((16, 16, 16), (16, 16)),
+               ((0, 4), (4, 3)), ((2, 0), (0, 3)), ((1, 1), (1, 1))],
+    "mul": [((5, 6), (5, 6)), ((7, 1), (1, 9)), ((), (4, 5)), ((4, 5), ()), ((0,), (0,)),
+            ((1, 1), (1, 1))],
+}
+
+
+@pytest.mark.parametrize("spec", [field_create(2, 2), field_create(2, 8), field_create(3, 5),
+                                  field_create(5, 7), field_create((1 << 31) - 1, 2)], ids=str)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_products_match_the_per_plane_reduced_oracle(spec, data):
+    """`matmul`, `mul` and `submul` against the product that reduces every
+    plane product; entries are uniform or, at a drawn rate, q - 1 (every
+    digit p - 1), which gives the largest partial sums."""
+    ops = spec.ops
+    kind = data.draw(st.sampled_from(sorted(ORACLE_SHAPES)))
+    xs, ys = data.draw(st.sampled_from(ORACLE_SHAPES[kind]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    top = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+    def draw(shape):
+        v = rng.integers(0, spec.q, size=shape)
+        return np.where(rng.random(shape) < top, spec.q - 1, v)
+
+    x, y = draw(xs), draw(ys)
+    if kind == "matmul":
+        got, want = ops.matmul(x, y), _product_oracle(ops, x, y, _matmul_mod)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert (got == want).all()
+        return
+    want = _product_oracle(ops, x, y, lambda a, b, p: a * b % p)
+    got = ops.mul(x, y)
+    assert np.asarray(got).dtype == np.int64 and np.shape(got) == want.shape
+    assert (got == want).all()
+    z = draw(want.shape)
+    got = ops.submul(z, x, y)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert (got == ops.sub(z, want)).all()
+
+
+def _largest_operands(spec):
+    """Operand pairs over GF(p^2) with the largest partial sums: all-(q-1)
+    (every digit p - 1), and two digit pairs whose sums are odd integers,
+    which float64 cannot hold past 2^53: (p-1, p-2) against (p-2, p-1) in
+    the plane of t^1, and (p-2, p-2) against (p-1, p-2) in the planes of t^0
+    and t^2 for odd k, so that the fold's first row is odd as well."""
+    p = spec.p
+    return [(spec.q - 1, spec.q - 1),
+            (spec.from_digits([p - 1, p - 2]), spec.from_digits([p - 2, p - 1])),
+            (spec.from_digits([p - 2, p - 2]), spec.from_digits([p - 1, p - 2]))]
+
+
+def _conv_bound(spec, k):
+    return spec.m * k * (spec.p - 1) ** 2
+
+
+def _fold_bound(spec, k):
+    return (2 * spec.m - 1) * (spec.p - 1) * _conv_bound(spec, k)
+
+
+# each side of the float64 fold, (2m-1)(p-1) m k (p-1)^2 < 2^53 (k = 5 / 6 over
+# GF(65521^2); the bound has slack, and at k = 63 the fold's sums do pass
+# 2^53), and of the float64 convolution planes, m k (p-1)^2 < 2^53 (k = 16 / 17
+# over GF(16777213^2))
+@pytest.mark.parametrize("p, k, bound, below", [(65521, 5, _fold_bound, True),
+                                                (65521, 6, _fold_bound, False),
+                                                (65521, 63, _fold_bound, False),
+                                                (16777213, 16, _conv_bound, True),
+                                                (16777213, 17, _conv_bound, False)])
+def test_extension_matmul_exact_at_the_float64_bound(p, k, bound, below):
+    spec = field_create(p, 2)
+    assert (bound(spec, k) < 1 << 53) == below
+    for a, b in _largest_operands(spec):
+        A = np.full((2, k), a, dtype=np.int64)
+        B = np.full((k, 3), b, dtype=np.int64)
+        assert (spec.ops.matmul(A, B) == _dot(spec, [a] * k, [b] * k)).all()
+
+
+# elementwise (k = 1) on each side of the same two bounds, at consecutive
+# primes: the fold in float64 up to p = 114493, the convolution planes up to
+# p = 67108859
+@pytest.mark.parametrize("p, bound, below", [(114493, _fold_bound, True),
+                                             (114547, _fold_bound, False),
+                                             (67108859, _conv_bound, True),
+                                             (67108879, _conv_bound, False)])
+def test_extension_mul_exact_at_the_float64_bound(p, bound, below):
+    spec = field_create(p, 2)
+    assert (bound(spec, 1) < 1 << 53) == below
+    for a, b in _largest_operands(spec):
+        x, y = np.full(3, a, dtype=np.int64), np.full(3, b, dtype=np.int64)
+        assert (spec.ops.mul(x, y) == spec.mul(a, b)).all()
+        assert (spec.ops.submul(y, x, y) == spec.sub(b, spec.mul(a, b))).all()
 
 
 @pytest.mark.parametrize("p", [2, (1 << 20) + 7, 33554393])

@@ -13,7 +13,9 @@ from conftest import deep_slices
 from tiso.conj import conj_coset
 from tiso.errors import BadParams, ShapeMismatch
 from tiso.gf import field_create
-from tiso.matgf import MatGF, inverse_det, random_invertible, rref_rank_kernel
+from tiso.codes import trace_gram
+from tiso.matgf import (MatGF, charpoly, inverse_det, random_invertible, right_kernel, rref,
+                        rref_rank_kernel)
 from tiso.solvers import (STAGES, StageTrace, _kernel_code_side,
                           _ordered_basis_candidates, solve, solve_algiso,
                           solve_mcc, solve_t4)
@@ -166,6 +168,52 @@ _GF8209_RECORDED = {
 @pytest.mark.parametrize("problem,planted", list(_GF8209_RECORDED), ids=str)
 def test_seeded_solves_over_gf8209_match_the_recorded_outcomes(problem, planted):
     assert _deep_outcomes_over_gf8209(problem, planted) == _GF8209_RECORDED[problem, planted]
+
+
+def _hull_one_stacks(field, n, count, rng):
+    """`count` random stacks of n matrices of size n x n whose code has
+    dimension n and a one-dimensional hull, each with its hull spanner h."""
+    out = []
+    while len(out) < count:
+        S = rng.integers(0, field.q, size=(n, n, n))
+        if len(rref(field, S.reshape(n, n * n))[1]) < n:
+            continue
+        _, right = right_kernel(MatGF(field, trace_gram(field, S, S)))
+        if len(right) == 1:
+            out.append((S, field.ops.matmul(right[0], S.reshape(n, n * n)).reshape(n, n)))
+    return out
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 1)])
+def test_mcc_step6_gram_is_alternating_in_characteristic_2(p, m):
+    """mcc step 6's G2(i,j) = Tr(A_i h A_j h) over GF(2^k) (see README): the
+    diagonal Tr((A_i h)^2) = Tr(A_i h)^2 is 0 because h is in the hull, so G2
+    is alternating, singular for odd n, and for even n every eigenvalue of
+    Psi = G2^-1 Gamma has even multiplicity: charpoly(Psi) has only
+    even-degree terms.  GF(3) shows none of this."""
+    field = field_create(p, m)
+    ops = field.ops
+    rng = np.random.default_rng(field.q)
+    seen = {"diagonal": 0, "invertible_odd_n": 0, "odd_degree_term": 0, "invertible_even_n": 0}
+    for n in (6, 7):
+        for S, h in _hull_one_stacks(field, n, 6, rng):
+            Gamma = trace_gram(field, S, S)
+            G2 = trace_gram(field, S, ops.matmul(ops.matmul(h, S), h))
+            assert (G2 == G2.T).all()
+            G2inv, d = inverse_det(MatGF(field, G2))
+            seen["diagonal"] += bool(np.diagonal(G2).any())
+            if n == 7:
+                seen["invertible_odd_n"] += d != 0
+            elif d != 0:
+                seen["invertible_even_n"] += 1
+                coeffs = charpoly(MatGF(field, ops.matmul(G2inv.a, Gamma))).coeffs
+                seen["odd_degree_term"] += any(coeffs[1::2])
+    assert seen["invertible_even_n"] > 0
+    if p == 2:
+        assert seen == {"diagonal": 0, "invertible_odd_n": 0, "odd_degree_term": 0,
+                        "invertible_even_n": seen["invertible_even_n"]}
+    else:
+        assert min(seen.values()) > 0, seen
 
 
 def test_t4_planted_corank_success():
