@@ -2,12 +2,15 @@
 """Kernel rows for the elimination row update and the extension-field
 products: the best-of-N wall time, in ms, of `matgf._pivot_loop` on one
 seeded random matrix per row, of `matgf.rref_stack` on one seeded random
-stack, and of `FieldOps.matmul`, `mul` and `submul` on seeded random
-operands, over the fields the benchmark workloads use.
+stack, and of `FieldOps.matmul`, `mul`, `inv` and `submul` on seeded random
+operands, over the fields the benchmark workloads use.  The `mul` and `inv`
+rows over GF(2^8) and GF(3^5) read the q x q byte tables; those over
+GF(17^2) and GF(3^6), the first fields past q = 256, take digit planes.
 
 Each row runs once untimed first, so lazily built field tables are not
 timed.  Prints one JSON object; its "rows" are the kernel rows of
-BENCH_elimination.json and BENCH_plane_products.json.
+BENCH_elimination.json, BENCH_plane_products.json and
+BENCH_field_tables.json.
 
 Example:
     python3 scripts/elim_kernels.py --repeats 5
@@ -30,6 +33,7 @@ KERNELS = {
     "rref_stack": rref_stack,
     "matmul": lambda field, *xs: field.ops.matmul(*xs),
     "mul": lambda field, *xs: field.ops.mul(*xs),
+    "inv": lambda field, *xs: field.ops.inv(*xs),
     "submul": lambda field, *xs: field.ops.submul(*xs),
 }
 
@@ -54,6 +58,18 @@ ROWS = [
     ("matmul", ((1 << 20) + 7, 1), [(64, 64), (64, 64)]),
     ("mul", (5, 7), [(64, 24), (64, 24)]),
     ("mul", (5, 7), [(8,), (8,)]),
+    ("mul", (2, 8), [(24,), (24,)]),
+    ("mul", (2, 8), [(64, 64), (64, 64)]),
+    ("mul", (3, 5), [(24,), (24,)]),
+    ("mul", (3, 5), [(64, 64), (64, 64)]),
+    ("mul", (17, 2), [(24,), (24,)]),
+    ("mul", (17, 2), [(64, 64), (64, 64)]),
+    ("mul", (3, 6), [(24,), (24,)]),
+    ("mul", (3, 6), [(64, 64), (64, 64)]),
+    ("inv", (2, 8), [(24,)]),
+    ("inv", (3, 5), [(24,)]),
+    ("inv", (17, 2), [(24,)]),
+    ("inv", (3, 6), [(24,)]),
     ("submul", (5, 7), [(8, 24), (8, 1), (1, 24)]),
     ("submul", (5, 7), [(16, 48), (16, 1), (1, 48)]),
 ]

@@ -9,9 +9,11 @@ A :class:`FieldSpec` carries the scalar arithmetic; :class:`FieldOps`
 planes over extension fields) for the dense linear-algebra layer, and the
 fused x - a*b of every elimination row update, `FieldOps.submul`: two gathers
 from q x q byte tables for q <= 256, one reduction on larger prime fields.
-Extension-field products sum their digit-plane products unreduced in float64
-while every partial sum stays below 2^53, and reduce once per product.
-`field_create` checks a modulus, and `FieldSpec.inv` inverts above the log-table
+Those tables also serve `mul` and `inv` on extension fields up to q = 256.
+Extension-field matrix products, and elementwise ones above q = 256, sum
+their digit-plane products unreduced in float64 while every partial sum
+stays below 2^53, and reduce once per product.
+`field_create` checks a modulus, and `FieldSpec.inv` inverts above the table
 limit, with :mod:`tiso.poly` over the prime field F_p: the Rabin test takes
 powers t^(p^k) mod the modulus with `powmod`, a power of the modulus's
 companion matrix.  Powers of elements and arrays use the square-and-multiply
@@ -42,8 +44,7 @@ from .poly import (Poly, _power, poly, poly_divmod, poly_eval, poly_gcd, poly_in
 
 _MAX_P = 1 << 31
 _MAX_Q = 1 << 62
-_TABLE_LIMIT = 1 << 16  # build log/antilog tables for extension fields up to here
-_BYTE_TABLE_LIMIT = 256  # q x q uint8 mul and sub tables for `FieldOps.submul` up to here
+_BYTE_TABLE_LIMIT = 256  # uint8 mul, sub and inv tables (`FieldOps._tables`) up to here
 
 
 def is_prime(n: int) -> bool:
@@ -137,8 +138,8 @@ class FieldSpec:
         return hash((self.p, self.m, self.modulus))
 
     def __reduce__(self):
-        # pickle the definition only: the cached log tables reach 2^17 int64
-        # entries, and they and `ops` are rebuilt on demand
+        # pickle the definition only: `ops` and its cached tables (up to
+        # 128 KB of uint8) are rebuilt on demand
         return FieldSpec, (self.p, self.m, self.modulus)
 
     def __repr__(self):
@@ -190,13 +191,9 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        tab = self._tables
-        if tab is not None:
-            log, exp = tab
-            return int(exp[(log[a] + log[b]) % (self.q - 1)])
-        return self._mul_slow(a, b)
+        if self.q <= _BYTE_TABLE_LIMIT:
+            return int(self.ops._tables[0][a * self.q + b])
+        return self._mul_slow(a, b) if a and b else 0
 
     def _mul_slow(self, a: int, b: int) -> int:
         """Digit-polynomial product of a and b, reduced by the monic modulus."""
@@ -227,10 +224,8 @@ class FieldSpec:
             raise DivideByZero("inverse of zero")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        tab = self._tables
-        if tab is not None:
-            log, exp = tab
-            return int(exp[(-log[a]) % (self.q - 1)])
+        if self.q <= _BYTE_TABLE_LIMIT:
+            return int(self.ops._tables[2][a])
         # extended Euclid on the digit polynomial of a, modulo the modulus over F_p
         Fp = FieldSpec(self.p, 1, ())
         return self.from_digits(poly_invmod(poly(Fp, self.digits(a)), poly(Fp, self.modulus)).coeffs)
@@ -240,33 +235,6 @@ class FieldSpec:
 
     def elements(self):
         return range(self.q)
-
-    # -- tables -------------------------------------------------------------
-
-    @cached_property
-    def _tables(self):
-        """(log, exp) arrays via a multiplicative generator, or None."""
-        if self.m == 1 or self.q > _TABLE_LIMIT:
-            return None
-        q = self.q
-        g = self._find_generator()
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_slow(acc, g)
-        return log, exp
-
-    def _find_generator(self) -> int:
-        q = self.q
-        factors = set(_prime_factors(q - 1))
-        # `mul` reads the tables being built, so powers use `_mul_slow`
-        for g in range(2, q):
-            if all(_power(self._mul_slow, g, (q - 1) // ell, 1) != 1 for ell in factors):
-                return g
-        raise BadParams("no multiplicative generator found")  # pragma: no cover
 
     @cached_property
     def ops(self) -> "FieldOps":
@@ -402,11 +370,12 @@ class FieldOps:
     below 2^62.  `matmul` is one float64 BLAS product while every dot product
     stays below 2^53, one int64 product below 2^62, and splits B into 16-bit
     limbs beyond that.  Extension fields work on the m base-p digit planes of
-    an array: `matmul`, and `mul` and `submul` above the log-table limit, sum
+    an array: `matmul`, and `mul`, `inv` and `submul` above q = 256, sum
     plane products unreduced in float64 below 2^53 (`_product`) and fold them
-    by the modulus; addition is digitwise.  `submul` (x - a*b) gathers twice
-    from q x q uint8 mul and sub tables for q <= 256, and takes one `%` on
-    larger prime fields (delayed reduction, as in FFLAS-FFPACK).
+    by the modulus; addition is digitwise.  For q <= 256 `submul` (x - a*b)
+    gathers twice from q x q uint8 mul and sub tables, and extension-field
+    `mul` and `inv` gather once; on larger prime fields `submul` takes one `%`
+    (delayed reduction, as in FFLAS-FFPACK).
     """
 
     dtype = np.int64
@@ -483,32 +452,33 @@ class FieldOps:
     def mul(self, x, y):
         if self.prime:
             return (x * y) % self.p
-        if self.spec._tables is None:
-            return self._product(x, y, False)
-        log, exp = self.spec._tables
-        x, y = np.broadcast_arrays(x, y)
-        # log[0] is a placeholder; products with a zero factor are zero
-        return np.where((x != 0) & (y != 0), exp[(log[x] + log[y]) % (self.q - 1)], 0)
+        if self.q <= _BYTE_TABLE_LIMIT:
+            return self._tables[0][x * self.q + y].astype(np.int64)
+        return self._product(x, y, False)
 
     def submul(self, x, a, b):
         """x - a*b elementwise, broadcast, as int64."""
         if self.q <= _BYTE_TABLE_LIMIT:
-            mul, sub = self._byte_tables
+            mul, sub, _ = self._tables
             return sub[np.asarray(x, dtype=np.int64) * self.q + mul[a * self.q + b]].astype(np.int64)
         if self.prime:
             # a*b < 2^62 for p < 2^31, so one reduction is exact
             return (x - a * b) % self.p
-        if self.spec._tables is None:
-            return self._product(a, b, False, x)
-        return self.sub(x, self.mul(a, b))
+        return self._product(a, b, False, x)
 
     @cached_property
-    def _byte_tables(self):
-        """Flat uint8 mul[a q + b] = a*b and sub[a q + b] = a - b, a row at a time."""
-        mul, sub = np.empty((2, self.q, self.q), dtype=np.uint8)
-        for a in range(self.q):
-            mul[a], sub[a] = self.mul(a, np.arange(self.q)), self.sub(a, np.arange(self.q))
-        return mul.ravel(), sub.ravel()
+    def _tables(self):
+        """Flat uint8 mul[a q + b] = a*b and sub[a q + b] = a - b, and inv[a] =
+        1/a with inv[0] = 0, for q <= 256; built a block of rows at a time,
+        which keeps the digit planes of the extension-field products small."""
+        q, b, rows = self.q, np.arange(self.q), 8
+        mul, sub = np.empty((2, q, q), dtype=np.uint8)
+        for r in range(0, q, rows):
+            a = b[r:r + rows, None]
+            mul[r:r + rows] = a * b % self.p if self.prime else self._product(a, b, False)
+            sub[r:r + rows] = self.sub(a, b)
+        # row 0 holds no 1, and argmax of an all-False row is 0
+        return mul.ravel(), sub.ravel(), np.argmax(mul == 1, axis=1)
 
     def sum(self, x, axis=None):
         """Field sum of the entries of x along axis (all entries by default)."""
@@ -522,13 +492,13 @@ class FieldOps:
         return self.spec.inv(int(a))
 
     def inv(self, x):
-        """Elementwise inverse, one table lookup on log-table fields and
-        x^(q-2) by square-and-multiply otherwise; zero maps to zero."""
+        """Elementwise inverse, one table lookup on extension fields up to
+        q = 256 and x^(q-2) by square-and-multiply otherwise; zero maps to
+        zero."""
         x = np.asarray(x, dtype=np.int64)
-        if self.spec._tables is None:
-            return _power(self.mul, x, self.q - 2, np.ones_like(x)) * (x != 0)
-        log, exp = self.spec._tables
-        return np.where(x != 0, exp[(-log[x]) % (self.q - 1)], 0)
+        if not self.prime and self.q <= _BYTE_TABLE_LIMIT:
+            return self._tables[2][x]
+        return _power(self.mul, x, self.q - 2, np.ones_like(x)) * (x != 0)
 
     def matmul(self, A, B):
         """A @ B; leading axes of either operand are stack axes, as in numpy."""

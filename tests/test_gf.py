@@ -1,6 +1,5 @@
 """Field arithmetic: axioms, encoding, tables, characters."""
 
-import hashlib
 import itertools
 import math
 import os
@@ -54,10 +53,17 @@ def test_gf49_ring_axioms(a, b, c):
 
 
 def test_table_mul_matches_slow_path():
-    spec = field_create(2, 4)
-    for a in spec.elements():
-        for b in spec.elements():
-            assert spec.mul(a, b) == spec._mul_slow(a, b)
+    """Every entry of the mul, sub and inv tables, on both kinds of field
+    up to q = 256, against the scalar products and differences."""
+    for pm in [(2, 1), (5, 1), (251, 1), (2, 2), (2, 4), (7, 2), (3, 5), (2, 8)]:
+        spec = field_create(*pm)
+        q = spec.q
+        slow = (lambda a, b: a * b % spec.p) if spec.m == 1 else spec._mul_slow
+        mul, sub, inv = spec.ops._tables
+        pairs = list(itertools.product(range(q), repeat=2))
+        assert mul.tolist() == [slow(a, b) for a, b in pairs], spec
+        assert sub.tolist() == [spec.sub(a, b) for a, b in pairs], spec
+        assert inv[0] == 0 and all(slow(a, int(inv[a])) == 1 for a in range(1, q)), spec
 
 
 def test_pow_and_order():
@@ -213,7 +219,7 @@ def test_vectorized_ops_match_scalar():
 
 
 # p = 2 (inverse exponent 0), primes below 2^25 and near 2^31, and both
-# extension-field multiplications: log tables and scalar products above them
+# extension-field multiplications: byte tables and digit planes above them
 @pytest.mark.parametrize("spec", [field_create(2), field_create((1 << 20) + 7),
                                   field_create((1 << 31) - 1), field_create(2, 8),
                                   field_create(5, 7)], ids=str)
@@ -236,32 +242,17 @@ def test_array_inv_and_stacked_matmul(spec):
         assert (AC[i] == ops.matmul(A[i], C)).all()
 
 
-# generator and sha256 prefix of log || exp, recorded from the earlier
-# per-caller square-and-multiply loops
-TABLES = {(2, 2): (2, "135e7ca1956760a1"), (2, 8): (9, "a6cd46e8b5cd6660"),
-          (3, 5): (3, "60f4d32e0b856fc4"), (7, 2): (11, "bcfb3b9962d77192"),
-          (3, 8): (10, "84d6c05b1210cb8a"), (17, 3): (17, "ae422150a94068e3")}
-
-
-@pytest.mark.parametrize("pm", sorted(TABLES), ids=str)
-def test_generator_and_tables_are_stable(pm):
-    spec = field_create(*pm)
-    log, exp = spec._tables
-    digest = hashlib.sha256(log.tobytes() + exp.tobytes()).hexdigest()[:16]
-    assert (spec._find_generator(), digest) == TABLES[pm]
-
-
 @pytest.mark.parametrize("pm", [(5, 1), (2, 8), (5, 7)], ids=str)
 def test_field_pickles_after_use(pm):
     spec = field_create(*pm)
     x = np.arange(1, 50, dtype=np.int64)
-    inv = spec.ops.inv(x)  # caches ops, and the log tables for GF(2^8)
+    inv = spec.ops.inv(x)  # caches ops, and the byte tables for GF(2^8)
     back = pickle.loads(pickle.dumps(spec))
     assert back == spec and back.to_json() == spec.to_json()
     assert (back.ops.inv(x) == inv).all()
 
 
-@pytest.mark.parametrize("pm", [(5, 7), ((1 << 31) - 1, 2)], ids=str)
+@pytest.mark.parametrize("pm", [(17, 2), (3, 6), (5, 7), ((1 << 31) - 1, 2)], ids=str)
 def test_inverse_above_the_table_limit_is_fermat(pm):
     spec = field_create(*pm)
     rng = np.random.default_rng(13)
@@ -271,8 +262,8 @@ def test_inverse_above_the_table_limit_is_fermat(pm):
         assert spec.mul(a, inv) == 1
 
 
-@pytest.mark.parametrize("pm", [(2, 2), (2, 8), (3, 5)], ids=str)
-def test_array_inverse_on_log_table_fields(pm):
+@pytest.mark.parametrize("pm", [(2, 2), (2, 8), (3, 5), (7, 2)], ids=str)
+def test_array_inverse_on_byte_table_fields(pm):
     spec = field_create(*pm)
     x = np.arange(spec.q, dtype=np.int64)
     assert spec.ops.inv(x).tolist() == [0] + [spec.inv(a) for a in range(1, spec.q)]
@@ -288,13 +279,14 @@ def test_large_prime_field():
 
 
 # both sides of 2^25 (where a 4096-term dot product stops fitting in 2^62),
-# the largest prime, and extension fields with and without log tables; over
-# GF((2^31-1)^2) the digit-plane products and the fold (inner dimension
-# 2m - 1 = 3) take the limb split
+# the largest prime, and extension fields on both sides of the byte-table
+# limit q = 256 (GF(17^2) is the first past it); over GF((2^31-1)^2) the
+# digit-plane products and the fold (inner dimension 2m - 1 = 3) take the
+# limb split
 PROPERTY_FIELDS = [field_create(33554393), field_create(33554467),
                    field_create((1 << 31) - 1), field_create(2, 8),
-                   field_create(3, 5), field_create(5, 7),
-                   field_create((1 << 31) - 1, 2)]
+                   field_create(3, 5), field_create(17, 2), field_create(3, 6),
+                   field_create(5, 7), field_create((1 << 31) - 1, 2)]
 
 
 def _dot(spec, row, col):
@@ -331,8 +323,9 @@ def test_field_ops_match_scalar_arithmetic(spec, data):
 # both sides of the byte-table limit q = 256, prime and extension fields, and
 # the one-reduction prime path up to 2^31 - 1
 SUBMUL_FIELDS = [field_create(2), field_create(5), field_create(251), field_create(257),
-                 field_create(2, 2), field_create(2, 8), field_create(3, 5), field_create(5, 7),
-                 field_create((1 << 20) + 7), field_create((1 << 31) - 1)]
+                 field_create(2, 2), field_create(2, 8), field_create(3, 5), field_create(17, 2),
+                 field_create(3, 6), field_create(5, 7), field_create((1 << 20) + 7),
+                 field_create((1 << 31) - 1)]
 
 
 @pytest.mark.parametrize("spec", SUBMUL_FIELDS, ids=str)

@@ -127,7 +127,7 @@ def _powmod_oracle(base, e, modulus):
 
 
 # small, mid and largest primes (the last takes the limb-split matmul), a
-# log-table field of each characteristic, and one above the table limit
+# byte-table field of each characteristic, and one above the table limit
 POWMOD_FIELDS = [F5, field_create((1 << 20) + 7), field_create((1 << 31) - 1),
                  field_create(2, 8), field_create(3, 5), field_create(5, 7)]
 POWMOD_EXPONENTS = {"0": lambda q: 0, "1": lambda q: 1, "2": lambda q: 2,

@@ -119,8 +119,8 @@ def test_census_one_path_for_prime_and_extension_fields():
     assert rep.alpha_star() == Fraction(q - 1, q)
 
 
-# one field per FieldOps backend: small and large primes, log tables, and the
-# scalar product above the table limit
+# one field per FieldOps backend: small and large primes, byte tables, and the
+# digit-plane products above the table limit
 @pytest.mark.parametrize("pm", [(2, 1), (5, 1), ((1 << 31) - 1, 1), (2, 8), (3, 5), (5, 7)],
                          ids=str)
 def test_stack_charpoly_matches_charpoly(pm):
