@@ -1,10 +1,13 @@
 """Intertwiner spaces and matrix-tuple conjugacy.
 
 The intertwiner space of (Atuple, Btuple) is {X : X A_i = B_i X for all i};
-its invertible elements form the conjugacy coset.  Alongside the exact
-linear-system route (n^2 unknowns) there is a seeded fast path that
-propagates a single known vector pair through the tuple's Krylov closure,
-which is what makes large-n solves cheap.
+its invertible elements form the conjugacy coset Conj(Atuple, Btuple).  If
+it holds an invertible T, then Conj(Atuple, Btuple) = T C(Atuple), so its
+dimension is that of the centralizer C(Atuple).  Every caller has already
+checked that C(Atuple) is the scalars, so the exact linear-system route (n^2
+unknowns) is decided by dimension alone: a line or nothing.  Alongside it
+there is a seeded fast path that propagates a single known vector pair
+through the tuple's Krylov closure, which is what makes large-n solves cheap.
 
 Every span question here (does a seed generate F^n under the tuple, is a
 vector cyclic, do two matrices generate M(n, q)) is a rank read off
@@ -13,11 +16,11 @@ vector cyclic, do two matrices generate M(n, q)) is a rank read off
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, ShapeMismatch
+from .errors import BadParams, InvariantViolation, ShapeMismatch
 from .gf import FieldSpec
 from .matgf import MatGF, identity, inverse_det, right_kernel, rref
 from .tensor import as_rng, mode_product
@@ -32,21 +35,13 @@ _CYCLIC_TRIES = 3
 class ConjCoset:
     """Outcome of a tuple-conjugacy computation.
 
-    kind is "Conjugate" (representative present), "NotConjugate", or
-    "Undecided" (an invertible element may exist in the intertwiner span but
-    none was found within the randomized trial budget).  A Conjugate outcome
-    also carries the representative's inverse, from the elimination that
-    certified it.
+    kind is "Conjugate" or "NotConjugate".  A Conjugate outcome carries the
+    representative and its inverse, from the elimination that certified it.
     """
 
     kind: str
-    representative: MatGF | None
-    basis: list = dc_field(default_factory=list)
+    representative: MatGF | None = None
     inverse: MatGF | None = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def _check_tuples(Atuple, Btuple):
@@ -81,32 +76,23 @@ def intertwiner_space(Atuple, Btuple) -> list:
     return [MatGF(field, v.reshape(n, n).copy()) for v in right]
 
 
-def conj_coset(Atuple, Btuple, rng=None) -> ConjCoset:
-    """Coset representative search over the intertwiner span.
+def conj_coset(Atuple, Btuple) -> ConjCoset:
+    """Decide tuple conjugacy, given that C(Atuple) is the scalars.
 
-    Exact when the span has dimension <= 1; for higher dimensions up to 8n
-    random span elements are tested and exhaustion yields Undecided.
+    An invertible T would make Conj(Atuple, Btuple) = T C(Atuple) a line, so
+    an intertwiner line with an invertible element is Conjugate, and a
+    singular line or any other dimension is NotConjugate.  Dimensions 0 and 1
+    decide whatever C(Atuple) is; at dimension >= 2 the precondition is
+    checked, and BadParams is raised when it fails.
     """
-    n = _check_tuples(Atuple, Btuple)
-    field = Atuple[0].field
     basis = intertwiner_space(Atuple, Btuple)
-    if not basis:
-        return ConjCoset("NotConjugate", None, [])
     if len(basis) == 1:
-        X = basis[0]
-        Xinv, d = inverse_det(X)
+        Xinv, d = inverse_det(basis[0])
         if d != 0:
-            return ConjCoset("Conjugate", X, basis, Xinv)
-        return ConjCoset("NotConjugate", None, basis)
-    rng = as_rng(rng)
-    stack = np.stack([Bv.a for Bv in basis])
-    for _ in range(8 * n):
-        coeffs = rng.integers(0, field.q, size=len(basis))
-        X = MatGF(field, mode_product(field, stack, coeffs[None], 0)[0])
-        Xinv, d = inverse_det(X)
-        if d != 0:
-            return ConjCoset("Conjugate", X, basis, Xinv)
-    return ConjCoset("Undecided", None, basis)
+            return ConjCoset("Conjugate", basis[0], Xinv)
+    elif basis and len(intertwiner_space(Atuple, Atuple)) != 1:
+        raise BadParams("conj_coset needs a tuple whose centralizer is the scalars")
+    return ConjCoset("NotConjugate")
 
 
 # ---------------------------------------------------------------------------

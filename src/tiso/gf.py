@@ -47,6 +47,14 @@ _MAX_Q = 1 << 62
 _BYTE_TABLE_LIMIT = 256  # uint8 mul, sub and inv tables (`FieldOps._tables`) up to here
 
 
+def as_int(x) -> int:
+    """x as an exact integer; refuses a bool (JSON `true`), 1.5 and "3"
+    rather than reading them as 1, 1 and 3."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 3.3e24."""
     if n < 2:
@@ -268,8 +276,7 @@ def field_create(p: int, m: int = 1, modulus=None) -> FieldSpec:
     if modulus is None:
         modulus = _default_modulus(p, m)
     try:
-        # operator.index refuses 3.5 or "3" rather than truncating or parsing it
-        modulus = tuple(operator.index(c) for c in modulus)
+        modulus = tuple(as_int(c) for c in modulus)
     except TypeError:
         raise BadParams(f"modulus coefficients must be integers, got {list(modulus)}") from None
     if not all(0 <= c < p for c in modulus):

@@ -28,13 +28,12 @@ where a caller needs every eigenvalue.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotSimpleEigenvalue, ShapeMismatch
-from .gf import FieldSpec
+from .gf import FieldSpec, as_int
 from .poly import Poly, _power, poly, roots_in_Fq
 
 
@@ -91,8 +90,7 @@ class MatGF:
 
 def mat(field: FieldSpec, rows) -> MatGF:
     ops = field.ops
-    # operator.index refuses 1.5 or "3" rather than truncating or parsing it
-    arr = np.array([[field.check(operator.index(x)) for x in r] for r in rows], dtype=ops.dtype)
+    arr = np.array([[field.check(as_int(x)) for x in r] for r in rows], dtype=ops.dtype)
     if arr.ndim != 2:
         raise ShapeMismatch("expected a 2-D matrix")
     return MatGF(field, arr)

@@ -121,22 +121,25 @@ def _hull_spanners(trace: StageTrace, A: Tensor3, B: Tensor3, direction: str, n:
     return _gate(trace, "step2", hull_spanner, CA, CB)
 
 
-def _conj_pair(Atuple, Btuple, seed, rng):
-    """Representative of Conj(Atuple, Btuple), assuming a scalar centralizer.
+def _conj_pair(trace: StageTrace, Atuple, Btuple, seed, rng):
+    """Step 6's conjugator: T with T A_i = B_i T, and a stop as `_gate` gives.
 
-    seed = (w, z): a vector pair any intertwiner must match up to scale
-    (matched eigenvectors).  Returns (T or None, decided).
+    Failure unless C(Atuple) is the scalars.  Then Conj(Atuple, Btuple) is a
+    line or holds no invertible element, so the seeded propagation (seed =
+    (w, z), a vector pair any intertwiner must match up to scale) or, for
+    n <= FULL_SYSTEM_MAX_N, `conj_coset` always decides, and no conjugator is
+    NotIsomorphic.  Above that size an undecided seed is Failure.
     """
+    if centralizer_is_scalars(Atuple, rng) is not True:
+        return None, _fail(trace, "step6")
     T, decided = conj_with_seed(Atuple, Btuple, *seed)
-    if decided:
-        return T, True
-    if Atuple[0].rows <= FULL_SYSTEM_MAX_N:
-        cc = conj_coset(Atuple, Btuple, rng)
-        if cc.kind == "Conjugate":
-            return cc.representative, True
-        if cc.kind == "NotConjugate":
-            return None, True
-    return None, False
+    if not decided:
+        if Atuple[0].rows > FULL_SYSTEM_MAX_N:
+            return None, _fail(trace, "step6")
+        T = conj_coset(Atuple, Btuple).representative
+    if T is None:
+        return None, _notiso(trace, "step6")
+    return T, None
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +189,9 @@ def solve_algiso(A: Tensor3, B: Tensor3, rng=None):
     trace.record("step5", "pass", B1r.a, B2r.a)
 
     # step 6: tuple conjugacy and global verification
-    if centralizer_is_scalars((A1, A2), rng) is not True:
-        return _fail(trace, "step6")
-    T, decided = _conj_pair((A1, A2), (B1r, B2r), (w1, z1), rng)
-    if not decided:
-        return _fail(trace, "step6")
-    if T is None:
-        return _notiso(trace, "step6")
+    T, stop = _conj_pair(trace, (A1, A2), (B1r, B2r), (w1, z1), rng)
+    if stop:
+        return stop
     ok, lam = verify_witness("algiso", A, B, {"T": T})
     if not ok:
         return _notiso(trace, "step6")
@@ -290,17 +289,13 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     if stop:
         return stop
     B2r = B2.scale(field.div(res2[0], res2b[0]))
-    if centralizer_is_scalars((hAt, A2), rng) is not True:
-        return _fail(trace, "step6")
     # step 3's split bases map the lambda-eigenvectors of hA and hBs to e_1,
     # so e_1 is the matched right eigenvector of hAt and of hBt
     e1 = ops.zeros(n)
     e1[0] = 1
-    S, decided = _conj_pair((hAt, A2), (hBt, B2r), (e1, e1), rng)
-    if not decided:
-        return _fail(trace, "step6")
-    if S is None:
-        return _notiso(trace, "step6")
+    S, stop = _conj_pair(trace, (hAt, A2), (hBt, B2r), (e1, e1), rng)
+    if stop:
+        return stop
     # T from B_k = sum_k' T(k,k') S A_k' S^{-1}: solve x K = rhs row by row
     K = MatGF(field, ops.matmul(S.a, As).reshape(n, -1))
     rhs = ops.matmul(Bs, S.a).reshape(n, -1)
@@ -413,7 +408,7 @@ def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats):
         dims = n * n - rref_stack(field, intertwiner_system(field, F, G))[1]
         for j in np.nonzero(dims == 1)[0]:
             reduced = tuple(MatGF(field, Gi) for Gi in G[j])
-            # a line of intertwiners: conj_coset draws nothing and returns R^{-1}
+            # a line of intertwiners: conj_coset decides it and returns R^{-1}
             cc = conj_coset(tuple(fixed_reduced), reduced)
             if cc.kind != "Conjugate":
                 continue

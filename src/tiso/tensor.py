@@ -7,14 +7,13 @@ Index conventions are 0-based internally; the pairing index map used by
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParams, FieldMismatch, ShapeMismatch, Singular
-from .gf import FieldSpec, field_create, is_prime
+from .gf import FieldSpec, as_int, field_create, is_prime
 from .matgf import MatGF, inverse_det, random_invertible, rref
 from . import matgf
 
@@ -397,7 +396,7 @@ def instance_to_json(problem: str, A, B, meta=None) -> dict:
 @contextmanager
 def _malformed(what: str, d):
     """Re-raise what a malformed JSON document breaks as a one-line BadParams;
-    integers are read with operator.index, which refuses 1.5 or "3"."""
+    integers are read with `as_int`, which refuses true, 1.5 or "3"."""
     if not isinstance(d, dict):
         raise BadParams(f"malformed {what}: expected a JSON object")
     try:
@@ -407,7 +406,7 @@ def _malformed(what: str, d):
 
 
 def _field_from_json(d: dict) -> FieldSpec:
-    return field_create(operator.index(d["p"]), operator.index(d.get("m", 1)),
+    return field_create(as_int(d["p"]), as_int(d.get("m", 1)),
                         tuple(d["modulus"]) if d.get("modulus") else None)
 
 
@@ -417,12 +416,12 @@ def instance_from_json(d: dict):
         if problem not in PROBLEMS:
             raise BadParams(f"unknown problem {problem!r}")
         field = _field_from_json(d["field"])
-        n = operator.index(d["n"])
+        n = as_int(d["n"])
         shape = (n, n, n, n) if problem == "t4" else (n, n, n)
         size = int(np.prod(shape))
         out = []
         for key in ("A", "B"):
-            flat = [field.check(operator.index(x)) for x in d[key]]
+            flat = [field.check(as_int(x)) for x in d[key]]
             if len(flat) != size:
                 raise BadParams(f"entry list {key} has wrong length")
             arr = np.asarray(flat, dtype=field.ops.dtype).reshape(shape)
@@ -444,4 +443,4 @@ def witness_from_json(d: dict, field: FieldSpec):
         keys = {"algiso": "T", "mcc": "ST", "t4": "LRST"}[problem]
         mats = {k: matgf.mat(field, d["matrices"][k]) for k in keys}
         lam = d.get("lambda")
-        return problem, mats, None if lam is None else operator.index(lam)
+        return problem, mats, None if lam is None else as_int(lam)

@@ -88,6 +88,17 @@ def test_instance_modulus_is_never_coerced(tmp_path, capsys):
     _assert_one_line_error(capsys, "solve", str(inst))
 
 
+def test_instance_modulus_true_is_not_read_as_1(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run(capsys, "gen", "--problem", "algiso", "--n", "4", "--p", "5", "--m", "2",
+        "--seed", "1", "--out", str(inst))
+    doc = json.loads(inst.read_text())
+    assert doc["field"]["modulus"][-1] == 1
+    doc["field"]["modulus"][-1] = True  # used to load as the same monic modulus
+    inst.write_text(json.dumps(doc))
+    _assert_one_line_error(capsys, "solve", str(inst))
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(capsys, jobs):
     _assert_one_line_error(capsys, "experiment", "--problem", "algiso", "--n", "4",
@@ -107,12 +118,20 @@ MALFORMED_INSTANCES = {
     "n_not_an_integer": lambda d: {**d, "n": "x"},
     "float_entry": lambda d: {**d, "A": [1.5] + d["A"][1:]},
     "entry_out_of_range": lambda d: {**d, "B": d["B"][:-1] + [5]},
+    # JSON true must not be read as 1
+    "bool_entry": lambda d: {**d, "A": [True] + d["A"][1:]},
+    "bool_n": lambda d: {**d, "n": True},
+    "bool_p": lambda d: {**d, "field": {**d["field"], "p": True}},
+    "bool_m": lambda d: {**d, "field": {**d["field"], "m": True}},
 }
 MALFORMED_WITNESSES = {
     "missing_T": lambda d: {**d, "matrices": {}},
     "float_entry": lambda d: {**d, "matrices": {"T": [[1.5] + d["matrices"]["T"][0][1:]]
                                                 + d["matrices"]["T"][1:]}},
     "float_lambda": lambda d: {**d, "lambda": 1.0},
+    "bool_entry": lambda d: {**d, "matrices": {"T": [[True] + d["matrices"]["T"][0][1:]]
+                                               + d["matrices"]["T"][1:]}},
+    "bool_lambda": lambda d: {**d, "lambda": True},
 }
 
 

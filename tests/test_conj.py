@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tiso.conj import (_is_nonderogatory, centralizer_is_scalars, conj_coset,
                        conj_with_seed, generates_full_algebra, intertwiner_space)
-from tiso.errors import ShapeMismatch
+from tiso.errors import BadParams, ShapeMismatch
 from tiso.gf import field_create
 from tiso.matgf import (MatGF, identity, inverse_det, random_invertible,
                         random_matrix, rref, unique_simple_eigenvalue)
@@ -33,12 +33,13 @@ def test_intertwiner_space_of_self_contains_identity():
     A = (random_matrix(F5, 4, 4, rng), random_matrix(F5, 4, 4, rng))
     basis = intertwiner_space(A, A)
     assert len(basis) >= 1
-    C = MatGF(F5, sum(b.a.astype(np.int64) for b in basis) % 5)
-    # I is in the span: solving is overkill, just check each basis member
-    # commutes with the tuple
     for X in basis:
         for M in A:
             assert X @ M == M @ X
+    # I is in the span: appending it to the flattened basis keeps the rank
+    flat = np.stack([X.a.reshape(-1) for X in basis])
+    with_I = np.concatenate([flat, identity(F5, 4).a.reshape(1, -1)])
+    assert len(rref(F5, with_I)[1]) == len(rref(F5, flat)[1])
 
 
 def test_conj_coset_on_planted_conjugates():
@@ -47,7 +48,7 @@ def test_conj_coset_on_planted_conjugates():
         A = (random_matrix(F5, 4, 4, rng), random_matrix(F5, 4, 4, rng))
         T = random_invertible(F5, 4, rng)
         B = _conjugate_tuple(A, T)
-        cc = conj_coset(A, B, rng)
+        cc = conj_coset(A, B)
         assert cc.kind == "Conjugate"
         X = cc.representative
         for M, N in zip(A, B):
@@ -55,15 +56,33 @@ def test_conj_coset_on_planted_conjugates():
 
 
 def test_conj_coset_not_conjugate():
-    rng = np.random.default_rng(2)
     # tuples with different invariant (identity vs nilpotent) cannot be
     # conjugate; the intertwiner space may still be nonzero but contains no
     # invertible element
     A = (identity(F5, 3),)
     N = MatGF(F5, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]],
                            dtype=F5.ops.dtype))
-    cc = conj_coset(A, (N,), rng)
+    cc = conj_coset(A, (N,))
     assert cc.kind == "NotConjugate"
+
+
+@pytest.mark.parametrize("field", [F2, F5], ids=["GF(2)", "GF(5)"])
+def test_conj_coset_certifies_not_conjugate_by_dimension(field):
+    # C(E22, E21) is the scalars, so a conjugate B would have a line of
+    # intertwiners; the zero pair has a plane of them, none invertible
+    A = tuple(MatGF(field, np.array(M, dtype=field.ops.dtype))
+              for M in ([[0, 0], [0, 1]], [[0, 0], [1, 0]]))
+    Z = (MatGF(field, field.ops.zeros((2, 2))),) * 2
+    assert len(intertwiner_space(A, A)) == 1
+    assert len(intertwiner_space(A, Z)) == 2
+    cc = conj_coset(A, Z)
+    assert cc.kind == "NotConjugate" and cc.representative is None
+
+
+def test_conj_coset_needs_a_scalar_centralizer():
+    eye = (identity(F5, 2),)
+    with pytest.raises(BadParams):
+        conj_coset(eye, eye)
 
 
 def test_conj_with_seed_matched_eigenvectors():

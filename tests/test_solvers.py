@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from conftest import deep_slices
-from tiso.conj import conj_coset
+from tiso.conj import conj_coset, conj_with_seed
 from tiso.errors import BadParams, ShapeMismatch
 from tiso.gf import field_create
 from tiso.codes import trace_gram
 from tiso.matgf import (MatGF, charpoly, inverse_det, random_invertible, right_kernel, rref,
                         rref_rank_kernel)
-from tiso.solvers import (STAGES, StageTrace, _kernel_code_side,
+from tiso.solvers import (STAGES, StageTrace, _conj_pair, _kernel_code_side,
                           _ordered_basis_candidates, solve, solve_algiso,
                           solve_mcc, solve_t4)
 from tiso.tensor import (act_algebra, act_code_conj, flatten4, gen_instance, kron,
@@ -216,6 +216,28 @@ def test_mcc_step6_gram_is_alternating_in_characteristic_2(p, m):
         assert min(seen.values()) > 0, seen
 
 
+def test_step6_conjugacy_decides_when_the_seed_does_not():
+    """A = (E22, E21) has scalar centralizer, and span(e2) is invariant
+    under it, so the seed (e2, T e2) leaves `conj_with_seed` undecided; the
+    full system then finds a conjugator, or certifies there is none."""
+    ops = F5.ops
+    A = tuple(MatGF(F5, np.array(M, dtype=ops.dtype))
+              for M in ([[0, 0], [0, 1]], [[0, 0], [1, 0]]))
+    T = MatGF(F5, np.array([[1, 1], [0, 1]], dtype=ops.dtype))
+    Tinv, _ = inverse_det(T)
+    B = tuple(T @ M @ Tinv for M in A)
+    e2 = np.array([0, 1], dtype=ops.dtype)
+    seed = (e2, ops.matmul(T.a, e2[:, None])[:, 0])
+    assert conj_with_seed(A, B, *seed) == (None, False)
+    trace = StageTrace()
+    S, stop = _conj_pair(trace, A, B, seed, np.random.default_rng(0))
+    assert stop is None
+    assert all(S @ M == N @ S for M, N in zip(A, B))
+    Z = (MatGF(F5, ops.zeros((2, 2))),) * 2
+    S, (verdict, _) = _conj_pair(trace, A, Z, seed, np.random.default_rng(0))
+    assert S is None and (verdict.kind, verdict.stage) == ("NotIsomorphic", "step6")
+
+
 def test_t4_planted_corank_success():
     hits = 0
     for seed in range(20):
@@ -228,7 +250,7 @@ def test_t4_planted_corank_success():
     assert hits >= 5  # empirical success rate well above 0.5
 
 
-def _reference_candidates(field, fixed_first, fixed_reduced, other_mats, rng):
+def _reference_candidates(field, fixed_first, fixed_reduced, other_mats):
     """The per-candidate loop that `_ordered_basis_candidates` replaced: one
     inverse and one conjugacy solve for each of the q^{c^2} coefficient
     matrices, in the same base-q order."""
@@ -255,7 +277,7 @@ def _reference_candidates(field, fixed_first, fixed_reduced, other_mats, rng):
         if dB1 == 0:
             continue
         reduced = [B1inv @ M for M in combo[1:]]
-        cc = conj_coset(tuple(fixed_reduced), tuple(reduced), rng)
+        cc = conj_coset(tuple(fixed_reduced), tuple(reduced))
         if cc.kind != "Conjugate":
             continue
         R = cc.representative
@@ -299,8 +321,7 @@ def test_t4_screened_candidates_match_the_per_candidate_loop(field, n, c, seeds)
     sides = 0
     for seed, (A1, reduced, _), mats in _t4_candidate_sides(field, n, c, seeds):
         new = _ordered_basis_candidates(field, A1, reduced, mats)
-        ref = _reference_candidates(field, A1, reduced, mats,
-                                    np.random.default_rng(seed))
+        ref = _reference_candidates(field, A1, reduced, mats)
         assert len(new) == len(ref)
         assert all(a == b for x, y in zip(new, ref) for a, b in zip(x, y))
         sides += 1
