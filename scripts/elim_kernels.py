@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Kernel rows for the elimination row update and the extension-field
-products: the best-of-N wall time, in ms, of `matgf._pivot_loop` on one
-seeded random matrix per row, of `matgf.rref_stack` on one seeded random
-stack, and of `FieldOps.matmul`, `mul`, `inv` and `submul` on seeded random
-operands, over the fields the benchmark workloads use.  The `mul` and `inv`
-rows over GF(2^8) and GF(3^5) read the q x q byte tables; those over
-GF(17^2) and GF(3^6), the first fields past q = 256, take digit planes.
+"""Kernel rows for the elimination row update, the extension-field
+products and the t4 candidate screen: the best-of-N wall time, in ms, of
+`matgf._pivot_loop` on one seeded random matrix per row, of
+`matgf.rref_stack` on one seeded random stack, of `FieldOps.matmul`, `mul`,
+`inv` and `submul` on seeded random operands, over the fields the benchmark
+workloads use, and of `solvers._ordered_basis_candidates` on the first
+kernel-code side of a seeded planted corank-3 t4 instance that passes the
+step-3 gate (shape [n, c]).  The `mul` and `inv` rows over GF(2^8) and
+GF(3^5) read the q x q byte tables; those over GF(17^2) and GF(3^6), the
+first fields past q = 256, take digit planes.
 
 Each row runs once untimed first, so lazily built field tables are not
 timed.  Prints one JSON object; its "rows" are the kernel rows of
-BENCH_elimination.json, BENCH_plane_products.json and
-BENCH_field_tables.json.
+BENCH_elimination.json, BENCH_plane_products.json,
+BENCH_field_tables.json and BENCH_t4_enumeration.json.
 
 Example:
     python3 scripts/elim_kernels.py --repeats 5
@@ -25,7 +28,9 @@ import numpy as np
 
 from tiso import cli
 from tiso.gf import field_create
-from tiso.matgf import _pivot_loop, rref_stack
+from tiso.matgf import _pivot_loop, rref_rank_kernel, rref_stack
+from tiso.solvers import _kernel_code_side, _ordered_basis_candidates
+from tiso.tensor import flatten4, gen_instance, vec_to_matrix
 
 # each takes the field, then the operands
 KERNELS = {
@@ -35,6 +40,7 @@ KERNELS = {
     "mul": lambda field, *xs: field.ops.mul(*xs),
     "inv": lambda field, *xs: field.ops.inv(*xs),
     "submul": lambda field, *xs: field.ops.submul(*xs),
+    "t4_candidates": _ordered_basis_candidates,
 }
 
 # (kernel, (p, m), operand shapes)
@@ -72,7 +78,23 @@ ROWS = [
     ("inv", (3, 6), [(24,)]),
     ("submul", (5, 7), [(8, 24), (8, 1), (1, 24)]),
     ("submul", (5, 7), [(16, 48), (16, 1), (1, 48)]),
+    ("t4_candidates", (2, 1), [(3, 3)]),
+    ("t4_candidates", (2, 2), [(3, 3)]),
 ]
+
+
+def t4_side(field, n, c):
+    """(A_1, reduced tuple, other code's basis) of the first kernel-code side
+    of gen_instance's planted corank-c pair at seed 1 that passes the step-3
+    gate."""
+    A, B, _ = gen_instance("t4", n, field, f"planted_corank({c})", 1)
+    _, rightA, leftA = rref_rank_kernel(flatten4(A))
+    _, rightB, leftB = rref_rank_kernel(flatten4(B))
+    for vecsA, vecsB in ((leftA, leftB), (rightA, rightB)):
+        fixed = _kernel_code_side(field, vecsA, n)
+        if fixed is not None:
+            return fixed[0], fixed[1], [vec_to_matrix(field, v, n) for v in vecsB]
+    raise SystemExit(f"no t4 side of seed 1 over {field} passes step 3")
 
 
 def best_ms(f, repeats):
@@ -96,7 +118,10 @@ def main():
     for kernel, pm, shapes in ROWS:
         field = field_create(*pm)
         rng = np.random.default_rng(1)
-        operands = [rng.integers(0, field.q, size=shape) for shape in shapes]
+        if kernel == "t4_candidates":
+            operands = t4_side(field, *shapes[0])
+        else:
+            operands = [rng.integers(0, field.q, size=shape) for shape in shapes]
         f = KERNELS[kernel]
         rows.append({"kernel": kernel, "field": str(field),
                      "shape": [list(s) for s in shapes] if len(shapes) > 1 else list(shapes[0]),

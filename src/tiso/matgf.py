@@ -29,6 +29,7 @@ where a caller needs every eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -363,6 +364,40 @@ def _charpoly_hessenberg(field: FieldSpec, H: np.ndarray) -> Poly:
                 pk = ops.sub(pk, ops.matmul(w[None, :], P[0:k - 1])[0])
         P[k] = pk
     return poly(field, [int(c) for c in P[n]])
+
+
+def charpoly_stack(field: FieldSpec, D: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of det(tI - A) for every A in a (B, n, n) stack.
+
+    Berkowitz's division-free recurrence: with A_k the leading k x k block
+    of A and A_(k+1) = [[A_k, C], [R, a]], the coefficients of A_(k+1)'s
+    charpoly, highest first, are the lower-triangular Toeplitz matrix with
+    first column (1, -a, -R C, -R A_k C, .., -R A_k^(k-1) C) times A_k's.
+    No pivots, so every step is one `FieldOps` call over the whole stack,
+    O(n^3) of them.
+    """
+    ops = field.ops
+
+    def dot(x, y):  # sum over the first axis of x * y
+        return reduce(ops.add, ops.mul(x, y))
+
+    B, n, _ = D.shape
+    E = np.ascontiguousarray(np.moveaxis(D, 0, -1))  # E[i, j]: entry (i, j) of every matrix
+    Et = E.transpose(1, 0, 2)
+    zero = ops.zeros((1, B))
+    p = zero + 1  # A_0's charpoly
+    for k in range(n):
+        v = E[:k, k]  # A_k^j C, from j = 0
+        col = [p[0], ops.neg(E[k, k])]  # p[0] is the leading 1
+        for j in range(k):
+            if j:
+                v = dot(Et[:k, :k], v[:, None])
+            col.append(ops.neg(dot(E[k, :k], v)))
+        col = np.concatenate([np.stack(col), zero])  # row k + 2 is zero
+        # the transposed Toeplitz matrix: entry (j, i) is col[i - j], zero above
+        shift = np.arange(k + 2) - np.arange(k + 1)[:, None]
+        p = dot(col[np.where(shift >= 0, shift, k + 2)], p[:, None])
+    return np.ascontiguousarray(p[::-1].T)
 
 
 # ---------------------------------------------------------------------------

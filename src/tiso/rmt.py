@@ -32,8 +32,8 @@ from .codes import code_from_matrices, hull
 from .conj import generates_full_algebra
 from .errors import BadParams, InvariantViolation, NonIntegralCount, TooLarge
 from .gf import FieldSpec, additive_character, digit_planes, join_digit_planes
-from .matgf import (random_matrix, rref, trace_of_square, trace_of_square_stack,
-                    unique_simple_eigenvalue)
+from .matgf import (charpoly_stack, random_matrix, rref, trace_of_square,
+                    trace_of_square_stack, unique_simple_eigenvalue)
 from .poly import Poly, poly, poly_divmod, poly_eval, poly_mul, roots_in_Fq
 from .tensor import as_rng, field_from_q, prime_power
 
@@ -634,51 +634,13 @@ def _census_chunks(q: int, n: int):
         yield np.moveaxis(digits.reshape(n, n, -1), -1, 0)
 
 
-def _stack_det(ops, E: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
-    """det of the (rows, cols) submatrix of every matrix in a stack, by
-    cofactor expansion along the first row.
-
-    E[i, j] holds entry (i, j) of every matrix, so a submatrix is a choice
-    of indices and is never copied.  Exponential in its size; the census
-    only meets sizes up to 4 (see `_stack_charpoly`).
-    """
-    if len(rows) == 1:
-        return E[rows[0], cols[0]]
-    acc = ops.zeros(E.shape[-1])
-    for j, c in enumerate(cols):
-        term = ops.mul(E[rows[0], c], _stack_det(ops, E, rows[1:], cols[:j] + cols[j + 1:]))
-        acc = ops.sub(acc, term) if j % 2 else ops.add(acc, term)
-    return acc
-
-
-def _stack_charpoly(field: FieldSpec, D: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of det(tI - A) for every A in a (B, n, n) stack.
-
-    The coefficient of t^(n-k) is (-1)^k times the sum of the k x k
-    principal minors: 2^n - 1 cofactor determinants, exponential in n.  That
-    is fine here, since `CENSUS_LIMIT` = 2^24 >= q^(n^2) forces n <= 4, and
-    every step is one `FieldOps` call over the whole stack.
-    """
-    ops = field.ops
-    B, n, _ = D.shape
-    E = np.ascontiguousarray(np.moveaxis(D, 0, -1))
-    coeffs = ops.zeros((B, n + 1))
-    coeffs[:, n] = 1
-    for k in range(1, n + 1):
-        ek = ops.zeros(B)
-        for S in itertools.combinations(range(n), k):
-            ek = ops.add(ek, _stack_det(ops, E, S, S))
-        coeffs[:, n - k] = ops.neg(ek) if k % 2 else ek
-    return coeffs
-
-
 def brute_force_census(n: int, q: int) -> CensusReport:
     """Deterministic full enumeration of M(n, q): for every matrix, record
     the F_q eigen-profile (eigenvalue, algebraic multiplicity pairs) and
     Tr(A^2).
 
     One path serves every field.  Each chunk of matrices gets its
-    characteristic polynomials from `_stack_charpoly` and Tr(A^2) from
+    characteristic polynomials from `matgf.charpoly_stack` and Tr(A^2) from
     `trace_of_square_stack`, all with `FieldOps`.  The row (c_0, ...,
     c_{n-1}, Tr A^2) is packed into one integer key below q^(n+1) <= 2^48
     and counted with `np.unique`.  The roots of each distinct characteristic
@@ -692,7 +654,7 @@ def brute_force_census(n: int, q: int) -> CensusReport:
     profiles: dict = {}  # charpoly coefficients c_0..c_{n-1} -> eigen-profile
     counts: dict = {}
     for D in _census_chunks(q, n):
-        cols = _stack_charpoly(field, D)
+        cols = charpoly_stack(field, D)
         cols[:, n] = trace_of_square_stack(field, D)  # in place of the monic 1
         keys, cnt = np.unique(join_digit_planes(cols.T, q), return_counts=True)
         for digits, c in zip(digit_planes(keys, q, n + 1).T.tolist(), cnt.tolist()):

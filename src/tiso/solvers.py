@@ -24,8 +24,8 @@ from .codes import code_from_slices, hull, trace_gram
 from .conj import (FULL_SYSTEM_MAX_N, centralizer_is_scalars, conj_coset, conj_with_seed,
                    intertwiner_space, intertwiner_system)
 from .gf import digit_planes
-from .matgf import (MatGF, eigen_profile, identity, inverse_det, right_kernel,
-                    rref_rank_kernel, rref_stack, solve_linear,
+from .matgf import (MatGF, charpoly_stack, eigen_profile, identity, inverse_det,
+                    right_kernel, rref_rank_kernel, rref_stack, solve_linear,
                     unique_simple_eigenvalue, primary_split_basis)
 from .tensor import (Tensor3, Tensor4, Verdict, as_rng, flatten4, kron,
                      mode_product, vec_to_matrix, verify_witness)
@@ -341,21 +341,11 @@ def _gram_operator_vector(field, stack, h, rng):
 # 4-tensor isomorphism
 
 
+# bound on q^(2c), the B_1^{-1} X products the candidate screen forms, and
+# on the ordered bases that pass it
 _T4_ENUM_CAP = 1 << 18
-# largest kernel-code dimension c that steps 3-5 take on (q^(c^2) bases)
+# largest kernel-code dimension c that steps 3-5 take on
 _T4_C_MAX = 4
-# cells of stacked work arrays per chunk of enumerated code elements, so that
-# peak memory does not grow with the enumeration size
-_T4_CHUNK_CELLS = 1 << 17
-
-
-def _chunks(start, stop, size, first):
-    """[lo, hi) ranges covering [start, stop): `first` long, doubling up to `size`."""
-    lo, step = start, min(first, size)
-    while lo < stop:
-        hi = min(lo + step, stop)
-        yield lo, hi
-        lo, step = hi, min(2 * step, size)
 
 
 def _invert_stack(field, M):
@@ -366,6 +356,20 @@ def _invert_stack(field, M):
     return pivots[:, :n].all(axis=1), R[:, :, n:]
 
 
+def _code_elements(field, mats):
+    """(coefficients, elements, invertible mask, inverses) of the q^c
+    elements of span(mats), in base-q order: row k of the coefficients holds
+    the digits of k, lowest first.  None when q^(2c) exceeds `_T4_ENUM_CAP`.
+    """
+    q, c, n = field.q, len(mats), mats[0].rows
+    if q ** (2 * c) > _T4_ENUM_CAP:
+        return None
+    coeffs = digit_planes(np.arange(q ** c), q, c).T
+    flat = np.stack([M.a.reshape(-1) for M in mats])
+    X = field.ops.matmul(coeffs, flat).reshape(-1, n, n)
+    return (coeffs, X) + _invert_stack(field, X)
+
+
 def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats):
     """Kronecker-factor candidates mapping the enumerated code to the fixed one.
 
@@ -373,80 +377,84 @@ def _ordered_basis_candidates(field, fixed_first, fixed_reduced, other_mats):
     for each ordered basis (B_1..B_c) of span(other_mats) with B_1 invertible
     solve R in Conj(F, G) for G = (B_1^{-1} B_i) and set L^t = A_1 R^{-1} B_1^{-1},
     so that L^t B_i R = A_i.  Returns a list of (L, R, L-kron-R) de-duplicated
-    by the Kronecker product (the (mu^{-1} L, mu R) torus cancels there).
+    by the Kronecker product (the (mu^{-1} L, mu R) torus cancels there), or
+    None past `_T4_ENUM_CAP`.  At c = 1 there is no F, and R = I.
 
-    The q^{c^2} coefficient matrices are screened in stacked chunks, in base-q
-    order: a singular one is no basis (conjugation keeps {I, F_2, .., F_c}
-    independent), B_1 must be invertible, and the intertwiner space of (F, G)
-    must be a line, because with C(F) the scalars (the step 3/5 gate) a space
-    of dimension >= 2 holds no invertible element.
+    R F_i R^{-1} = G_i needs charpoly(B_1^{-1} B_i) = charpoly(F_i) for each
+    i on its own, so the screen factorizes: for each invertible B_1 the
+    stacked charpolys of B_1^{-1} X over the q^c code elements X pick the
+    survivors for each B_i.  Their combinations, in base-q order of the
+    c x c coefficient matrix (B_1 the lowest digit block), then meet the
+    exact tests: a singular coefficient matrix is no basis (conjugation keeps
+    {I, F_2, .., F_c} independent), and the intertwiner space of (F, G) must
+    be a line, because with C(F) the scalars (the step 3/5 gate) a space of
+    dimension >= 2 holds no invertible element.
     """
-    c = len(other_mats)
-    q = field.q
-    total = q ** (c * c)
-    if total > _T4_ENUM_CAP:
+    code = _code_elements(field, other_mats)
+    if code is None:
         return None
-    if not fixed_reduced:
-        # c = 1 never reaches here (the centralizer gate fails first)
-        return []
+    coeffs, X, invertible, Xinv = code
     ops = field.ops
-    n = fixed_first.rows
-    A1 = fixed_first
-    flat = np.stack([M.a.reshape(-1) for M in other_mats])
-    F = np.stack([Fi.a for Fi in fixed_reduced])
+    qc, c, n = len(X), len(other_mats), fixed_first.rows
+    F = np.array([Fi.a for Fi in fixed_reduced], dtype=np.int64).reshape(-1, n, n)
+    k1 = np.flatnonzero(invertible)
+    polys = charpoly_stack(field, ops.matmul(Xinv[k1][:, None], X).reshape(-1, n, n))
+    # match[b, i, k]: with the b-th invertible B_1, code element k may be B_(i+2)
+    match = (polys.reshape(len(k1), 1, qc, n + 1)
+             == charpoly_stack(field, F)[:, None]).all(axis=3)
+    if match.sum(axis=2).prod(axis=1).sum() > _T4_ENUM_CAP:
+        return None
+    # rep = k_1 + k_2 qc + .. + k_c qc^(c-1), B_i the k_i-th code element
+    reps = [np.zeros(0, dtype=np.int64)]
+    for b, m in zip(k1, match):
+        rep = np.array([b])
+        for i, mi in enumerate(m, 1):
+            rep = (rep + np.flatnonzero(mi)[:, None] * qc ** i).ravel()
+        reps.append(rep)
+    blocks = digit_planes(np.sort(np.concatenate(reps)), qc, c).T
+    blocks = blocks[rref_stack(field, coeffs[blocks])[1] == c]
+    B1inv = Xinv[blocks[:, 0]]
+    if fixed_reduced:
+        G = ops.matmul(B1inv[:, None], X[blocks[:, 1:]])
+        dims = n * n - rref_stack(field, intertwiner_system(field, F, G))[1]
+        lines = np.flatnonzero(dims == 1)
+    else:
+        lines = range(len(blocks))
     out = []
     seen = set()
-    size = max(1, _T4_CHUNK_CELLS // (c * n ** 4))
-    for lo, hi in _chunks(0, total, size, size):
-        # row r holds the base-q digits of lo + r, lowest first
-        coeffs = digit_planes(np.arange(lo, hi), q, c * c).T.reshape(-1, c, c)
-        bases = rref_stack(field, coeffs)[1] == c
-        B = ops.matmul(coeffs[bases], flat).reshape(-1, c, n, n)
-        ok, B1inv = _invert_stack(field, B[:, 0])
-        B, B1inv = B[ok], B1inv[ok]
-        G = ops.matmul(B1inv[:, None], B[:, 1:])
-        dims = n * n - rref_stack(field, intertwiner_system(field, F, G))[1]
-        for j in np.nonzero(dims == 1)[0]:
-            reduced = tuple(MatGF(field, Gi) for Gi in G[j])
+    for j in lines:
+        if fixed_reduced:
             # a line of intertwiners: conj_coset decides it and returns R^{-1}
-            cc = conj_coset(tuple(fixed_reduced), reduced)
+            cc = conj_coset(tuple(fixed_reduced), tuple(MatGF(field, Gi) for Gi in G[j]))
             if cc.kind != "Conjugate":
                 continue
-            R = cc.representative
-            Lt = A1 @ cc.inverse @ MatGF(field, B1inv[j])
-            L = Lt.T
-            KLR = kron(L, R)
-            key = np.asarray(KLR.a, dtype=np.int64).tobytes()
-            if key not in seen:
-                seen.add(key)
-                out.append((L, R, KLR))
+            R, Rinv = cc.representative, cc.inverse
+        else:
+            R = Rinv = identity(field, n)
+        L = (fixed_first @ Rinv @ MatGF(field, B1inv[j])).T
+        KLR = kron(L, R)
+        key = np.asarray(KLR.a, dtype=np.int64).tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append((L, R, KLR))
     return out
 
 
 def _kernel_code_side(field, kernel_vecs, n):
     """(first invertible element, reduced tuple, full basis) for one kernel code.
 
-    Scans the q^c code elements in enumeration order for an invertible one;
-    returns None when there is none or when the reduced tuple's centralizer
-    is larger than the scalars (the candidate-set size gate).
+    The first invertible code element in base-q order is A_1.  Returns None
+    past `_T4_ENUM_CAP`, when no code element is invertible, or when the
+    reduced tuple's centralizer is larger than the scalars (the
+    candidate-set size gate).
     """
-    c = len(kernel_vecs)
-    q = field.q
     mats = [vec_to_matrix(field, v, n) for v in kernel_vecs]
-    flat = np.stack([M.a.reshape(-1) for M in mats])
-    first = None
-    # the scan stops at the first hit, so small chunks come first
-    for lo, hi in _chunks(1, q ** c, max(1, _T4_CHUNK_CELLS // (2 * n * n)), 8):
-        coeffs = digit_planes(np.arange(lo, hi), q, c).T
-        X = field.ops.matmul(coeffs, flat).reshape(-1, n, n)
-        ok, Xinv = _invert_stack(field, X)
-        if ok.any():
-            i = int(ok.argmax())
-            first = (MatGF(field, X[i].copy()), MatGF(field, Xinv[i].copy()), coeffs[i])
-            break
-    if first is None:
+    code = _code_elements(field, mats)
+    if code is None or not code[2].any():
         return None
-    A1, A1inv, a = first
+    coeffs, X, invertible, Xinv = code
+    i = int(invertible.argmax())
+    A1inv, a = MatGF(field, Xinv[i].copy()), coeffs[i]
     # A_1 = sum a_i M_i over independent M_i, so extending A_1 to an ordered
     # basis by the M_i that keep independence, in order, drops exactly the
     # last M_i with a_i != 0
@@ -455,7 +463,7 @@ def _kernel_code_side(field, kernel_vecs, n):
     scalars = len(intertwiner_space(reduced, reduced)) == 1 if reduced else n == 1
     if not scalars:
         return None
-    return A1, reduced, mats
+    return MatGF(field, X[i].copy()), reduced, mats
 
 
 def solve_t4(A: Tensor4, B: Tensor4, rng=None):

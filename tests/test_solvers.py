@@ -1,10 +1,12 @@
 """The three six-stage decision pipelines."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from tiso.matgf import (MatGF, charpoly, inverse_det, random_invertible, right_k
 from tiso.solvers import (STAGES, StageTrace, _conj_pair, _kernel_code_side,
                           _ordered_basis_candidates, solve, solve_algiso,
                           solve_mcc, solve_t4)
-from tiso.tensor import (act_algebra, act_code_conj, flatten4, gen_instance, kron,
-                         reassemble, vec_to_matrix, verify_witness)
+from tiso.tensor import (Tensor4, act4, act_algebra, act_code_conj, flatten4, gen_instance,
+                         kron, reassemble, vec_to_matrix, verify_witness)
 
 F5 = field_create(5)
 
@@ -335,6 +337,99 @@ def test_t4_screened_candidates_over_gf4_match_the_recorded_reference():
     seed, (A1, reduced, _), mats = next(_t4_candidate_sides(field, 2, 3, [1]))
     new = _ordered_basis_candidates(field, A1, reduced, mats)
     assert _candidates_digest(new) == "180:b2ebf3a4e61d116b"
+
+
+def test_t4_screened_candidates_over_gf4_n3_match_the_recorded_reference():
+    """Digests of both sides of one GF(4) n=3 instance, recorded from the
+    enumeration of all q^(c^2) ordered bases, which takes about 7 s a side."""
+    field = field_create(2, 2)
+    digests = [_candidates_digest(_ordered_basis_candidates(field, A1, reduced, mats))
+               for _, (A1, reduced, _), mats in _t4_candidate_sides(field, 3, 3, [1])]
+    assert digests == ["3:039830646bf55ced", "27:4bec5683171e743a"]
+
+
+# corank 3 over GF(5) and GF(7), and corank 4 over GF(3): more than 2^18
+# ordered bases, but at most 2^18 products B_1^{-1} X (q^(2c))
+@pytest.mark.parametrize("q,n,c,seed", [(5, 2, 3, 2), (5, 3, 3, 0), (7, 2, 3, 1), (3, 3, 4, 3)])
+def test_t4_planted_above_the_ordered_basis_bound(q, n, c, seed):
+    field = field_create(q)
+    A, B, _w = gen_instance("t4", n, field, f"planted_corank({c})", seed)
+    verdict, trace = solve_t4(A, B, rng=seed)
+    _check_trace(trace)
+    assert verdict.kind == "Isomorphic"
+    assert verify_witness("t4", A, B, verdict.witness)
+
+
+def test_t4_unrelated_gf3_never_isomorphic():
+    for seed in range(10):
+        A, B, _w = gen_instance("t4", 3, field_create(3), "unrelated", seed)
+        assert solve_t4(A, B, rng=seed)[0].kind != "Isomorphic"
+
+
+def test_t4_step3_scan_is_bounded():
+    """Flattening rows 0 and 1 zero: the left kernel code is every matrix with
+    a zero second row, so no code element is invertible; over GF(2^31 - 1)
+    there are 2^62 of them, and the bound stops step 3 before any is formed."""
+    field = field_create((1 << 31) - 1)
+    a = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    a[1] = np.random.default_rng(0).integers(0, field.q, size=(2, 2, 2))
+    A = Tensor4(field, a)
+    t0 = time.perf_counter()
+    verdict, trace = solve_t4(A, A)
+    assert time.perf_counter() - t0 < 1
+    assert (verdict.kind, verdict.stage) == ("Failure", "step3")
+    assert trace.outcome("step2") == "pass"
+
+
+def test_t4_surviving_bases_are_bounded(monkeypatch):
+    """The zero 2x2x2x2 tensor's kernel codes are all of M(2, 2), c = 4: 2^8
+    products B_1^{-1} X, and more than 2^8 ordered bases pass the charpoly
+    screen, so a bound of 2^8 stops step 4."""
+    field = field_create(2)
+    Z = Tensor4(field, np.zeros((2, 2, 2, 2), dtype=np.int64))
+    assert solve_t4(Z, Z)[0].kind == "Isomorphic"
+    monkeypatch.setattr("tiso.solvers._T4_ENUM_CAP", 2 ** 8)
+    verdict, trace = solve_t4(Z, Z)
+    assert (verdict.kind, verdict.stage) == ("Failure", "step4")
+    assert trace.outcome("step3") == "pass"
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_t4_zero_1x1x1x1_is_isomorphic_to_itself(q):
+    """c = 1: no F_i to match, so each invertible B_1 gives R = I."""
+    field = field_create(q)
+    A = Tensor4(field, np.zeros((1, 1, 1, 1), dtype=np.int64))
+    verdict, trace = solve_t4(A, A)
+    _check_trace(trace)
+    assert verdict.kind == "Isomorphic"
+    assert verify_witness("t4", A, A, verdict.witness)
+
+
+def test_t4_step6_not_isomorphic_confirmed_by_brute_force():
+    """Every step-6 NotIsomorphic on these n = 2 GF(2) pairs is checked
+    against all 6^4 = 1296 tuples of GL(2, 2)^4; the search must also find
+    a tuple for every Isomorphic pair, so it is not vacuous."""
+    field = field_create(2)
+    gl2 = [MatGF(field, np.array(e).reshape(2, 2)) for e in itertools.product(range(2), repeat=4)
+           if inverse_det(MatGF(field, np.array(e).reshape(2, 2)))[1]]
+    assert len(gl2) == 6
+
+    def orbit_hit(A, B):
+        return any(act4(A, *g).a.tolist() == B.a.tolist()
+                   for g in itertools.product(gl2, repeat=4))
+
+    checked = 0
+    for s in range(2):
+        A = gen_instance("t4", 2, field, "planted_corank(3)", s)[0]
+        for t in range(4):
+            B = gen_instance("t4", 2, field, "planted_corank(3)", t)[1]
+            verdict, _ = solve_t4(A, B)
+            if verdict.kind == "NotIsomorphic":
+                assert verdict.stage == "step6" and not orbit_hit(A, B)
+                checked += 1
+            else:
+                assert verdict.kind == "Isomorphic" and orbit_hit(A, B)
+    assert checked >= 1
 
 
 def test_t4_unrelated_never_isomorphic():
