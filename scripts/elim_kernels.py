@@ -12,8 +12,8 @@ first fields past q = 256, take digit planes.
 
 Each row runs once untimed first, so lazily built field tables are not
 timed.  Prints one JSON object; its "rows" are the kernel rows of
-BENCH_elimination.json, BENCH_plane_products.json,
-BENCH_field_tables.json and BENCH_t4_enumeration.json.
+BENCH_elimination.json, BENCH_plane_products.json, BENCH_field_tables.json,
+BENCH_t4_enumeration.json and BENCH_delayed_reduction.json.
 
 Example:
     python3 scripts/elim_kernels.py --repeats 5
@@ -48,10 +48,16 @@ ROWS = [
     ("_pivot_loop", ((1 << 20) + 7, 1), [(64, 192)]),
     ("_pivot_loop", ((1 << 20) + 7, 1), [(64, 128)]),
     ("_pivot_loop", (5, 1), [(24, 72)]),
+    ("_pivot_loop", (5, 1), [(10, 30)]),
+    ("_pivot_loop", (7, 1), [(24, 24)]),
+    ("_pivot_loop", (2, 1), [(9, 9)]),
+    ("_pivot_loop", ((1 << 31) - 1, 1), [(16, 48)]),
     ("_pivot_loop", (2, 8), [(16, 48)]),
     ("_pivot_loop", (3, 5), [(16, 48)]),
     ("_pivot_loop", (5, 7), [(8, 24)]),
     ("rref_stack", (2, 1), [(512, 9, 18)]),
+    ("rref_stack", (2, 1), [(8, 3, 6)]),
+    ("rref_stack", (2, 1), [(6, 18, 9)]),
     ("matmul", (2, 8), [(16, 16), (16, 16)]),
     ("matmul", (2, 8), [(16, 16), (16, 224)]),
     ("matmul", (2, 8), [(16, 16), (16, 256)]),

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .gf import FieldSpec
 from .matgf import MatGF, right_kernel, rref
-from .tensor import Tensor3, slices
+from .tensor import _SLICE_AXIS, Tensor3
 
 
 @dataclass
@@ -46,21 +46,22 @@ class MatrixCode:
 
 def code_from_matrices(field: FieldSpec, mats: list, ambient_n: int) -> MatrixCode:
     """Span of the given matrices; flags whether they were independent."""
-    if not mats:
-        return MatrixCode(field, ambient_n, field.ops.zeros((0, ambient_n * ambient_n)))
-    stacked = np.stack([M.a.reshape(-1) for M in mats], axis=0)
-    R, pivots = rref(field, stacked)
-    code = MatrixCode(field, ambient_n, R[: len(pivots)].copy(),
-                      slices_independent=(len(pivots) == len(mats)))
-    return code
+    rows = np.array([M.a.reshape(-1) for M in mats], dtype=np.int64)
+    return _code_from_rows(field, rows.reshape(len(mats), ambient_n ** 2), ambient_n)
 
 
 def code_from_slices(A: Tensor3, direction: str) -> MatrixCode:
-    mats = slices(A, direction)
-    n = mats[0].rows
-    if mats[0].cols != n:
+    S = np.moveaxis(A.a, _SLICE_AXIS[direction], 0)
+    k, n, cols = S.shape
+    if cols != n:
         raise ShapeMismatch("matrix codes need square slices")
-    return code_from_matrices(A.field, mats, n)
+    return _code_from_rows(A.field, S.reshape(k, n * n), n)
+
+
+def _code_from_rows(field: FieldSpec, rows: np.ndarray, ambient_n: int) -> MatrixCode:
+    R, pivots = rref(field, rows)
+    return MatrixCode(field, ambient_n, R[:len(pivots)].copy(),
+                      slices_independent=len(pivots) == len(rows))
 
 
 def trace_gram(field: FieldSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

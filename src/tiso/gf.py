@@ -7,8 +7,8 @@ For prime fields (m = 1) this is just the usual integer residue.
 A :class:`FieldSpec` carries the scalar arithmetic; :class:`FieldOps`
 (``spec.ops``) exposes vectorized counterparts on int64 arrays (base-p digit
 planes over extension fields) for the dense linear-algebra layer, and the
-fused x - a*b of every elimination row update, `FieldOps.submul`: two gathers
-from q x q byte tables for q <= 256, one reduction on larger prime fields.
+row update x - a*b: `FieldOps.submul`, reduced (two gathers from q x q byte
+tables for q <= 256), and the eliminations' `isubmul`, unreduced on primes.
 Those tables also serve `mul` and `inv` on extension fields up to q = 256.
 Extension-field matrix products, and elementwise ones above q = 256, sum
 their digit-plane products unreduced in float64 while every partial sum
@@ -381,8 +381,11 @@ class FieldOps:
     plane products unreduced in float64 below 2^53 (`_product`) and fold them
     by the modulus; addition is digitwise.  For q <= 256 `submul` (x - a*b)
     gathers twice from q x q uint8 mul and sub tables, and extension-field
-    `mul` and `inv` gather once; on larger prime fields `submul` takes one `%`
-    (delayed reduction, as in FFLAS-FFPACK).
+    `mul` and `inv` gather once; on larger prime fields `submul` takes one `%`.
+    `isubmul` leaves prime-field reps unreduced (delayed reduction, as in
+    FFLAS-FFPACK): an update takes at most (p − 1)² off an entry, so int64
+    holds `headroom` = ⌊(2^63 − 1 − p)/(p − 1)²⌋ of them between `reduce`s
+    (2 at p = 2^31 − 1, about 2^23 at 2^20 + 7).
     """
 
     dtype = np.int64
@@ -472,6 +475,20 @@ class FieldOps:
             # a*b < 2^62 for p < 2^31, so one reduction is exact
             return (x - a * b) % self.p
         return self._product(a, b, False, x)
+
+    @cached_property
+    def headroom(self) -> int:
+        """How many `isubmul` updates an array takes between `reduce`s."""
+        return ((1 << 63) - 1 - self.p) // (self.p - 1) ** 2 if self.prime else 1 << 63
+
+    def isubmul(self, x, a, b):
+        """x -= a*b in place, returning x; unreduced on a prime field."""
+        x[...] = x - a * b if self.prime else self.submul(x, a, b)
+        return x
+
+    def reduce(self, x):
+        """x in canonical reps, as a new array."""
+        return x % self.p if self.prime else np.array(x, copy=True)
 
     @cached_property
     def _tables(self):

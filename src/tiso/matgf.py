@@ -12,8 +12,10 @@ loop runs only on a narrow column window or on row blocks, and the bulk of
 the work is one `FieldOps.matmul` (rank-profile elimination after Dumas,
 Giorgi and Pernet, FFLAS-FFPACK, and Jeannerod, Pernet and Storjohann,
 2013).  `rref_stack` runs the loop over a stack of matrices at once.  Each
-pivot updates all rows from its column on with one fused x - a*b,
-`FieldOps.submul`, as do the Hessenberg reduction and charpoly recurrence.
+pivot updates all rows from its column on with one x -= a*b, `isubmul`,
+unreduced on prime fields: the loops reduce what they read, the rest every
+`FieldOps.headroom` = ⌊(2^63 − 1 − p)/(p − 1)²⌋ columns and all at the end
+(pivot columns are zero mod p till then); charpoly's updates use `submul`.
 `right_kernel` takes one elimination (`rref_rank_kernel` adds the left
 kernel), and `solve_linear` reads the solutions for many right-hand sides and
 the kernel off one elimination of [A | b].
@@ -179,23 +181,26 @@ def _pivot_loop(field: FieldSpec, M: np.ndarray):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        if c and c % ops.headroom == 0:
+            R[:, c:] = ops.reduce(R[:, c:])
+        factors = ops.reduce(R[:, c])
+        nz = np.nonzero(factors[r:])[0]
         if len(nz) == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
+            factors[[r, pr]] = factors[[pr, r]]
             d = field.neg(d)
-        piv = int(R[r, c])
+        piv = int(factors[r])
         d = field.mul(d, piv)
-        # columns before c are zero in row r, so the update starts at c
-        R[r, c:] = ops.mul(R[r, c:], ops.scalar_inv(piv))
-        factors = R[:, c].copy()
+        # row r is zero mod p before c, so the update starts at c
+        R[r, c:] = row = ops.mul(ops.reduce(R[r, c:]), ops.scalar_inv(piv))
         factors[r] = 0
-        R[:, c:] = ops.submul(R[:, c:], factors[:, None], R[r, c:][None, :])
+        ops.isubmul(R[:, c:], factors[:, None], row)
         pivots.append(c)
         r += 1
-    return R, pivots, d
+    return ops.reduce(R), pivots, d
 
 
 def rref_stack(field: FieldSpec, M: np.ndarray):
@@ -212,22 +217,24 @@ def rref_stack(field: FieldSpec, M: np.ndarray):
     pivots = np.zeros((k, cols), dtype=bool)
     below = np.arange(rows)[None, :]
     for c in range(cols):
+        if c and c % ops.headroom == 0:
+            R[:, :, c:] = ops.reduce(R[:, :, c:])
         # a slice pivots here if column c is nonzero at or below its next row
-        cand = (R[:, :, c] != 0) & (below >= ranks[:, None])
+        cand = (ops.reduce(R[:, :, c]) != 0) & (below >= ranks[:, None])
         s = np.nonzero(cand.any(axis=1))[0]
         if not len(s):
             continue
         r = ranks[s]
         pr = cand[s].argmax(axis=1)
         R[s, r], R[s, pr] = R[s, pr], R[s, r]
-        row = ops.mul(R[s, r, c:], ops.inv(R[s, r, c])[:, None])
-        factors = R[s, :, c].copy()
-        factors[np.arange(len(s)), r] = 0
-        R[s, :, c:] = ops.submul(R[s, :, c:], factors[:, :, None], row[:, None, :])
-        R[s, r, c:] = row
+        factors = ops.reduce(R[s, :, c])
+        i = np.arange(len(s))
+        R[s, r, c:] = row = ops.mul(ops.reduce(R[s, r, c:]), ops.inv(factors[i, r])[:, None])
+        factors[i, r] = 0
+        R[s, :, c:] = ops.isubmul(R[s, :, c:], factors[:, :, None], row[:, None, :])
         pivots[s, c] = True
         ranks[s] += 1
-    return R, ranks, pivots
+    return ops.reduce(R), ranks, pivots
 
 
 def right_kernel(A: MatGF):

@@ -36,7 +36,7 @@ STAGES = ("step1", "step2", "step3", "step4", "step5", "step6")
 def _digest(*arrays) -> str:
     h = hashlib.blake2b(digest_size=8)
     for a in arrays:
-        h.update(np.ascontiguousarray(np.asarray(a, dtype=np.int64)).tobytes())
+        h.update(np.ascontiguousarray(a, dtype=np.int64))
     return h.hexdigest()
 
 

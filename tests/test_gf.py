@@ -321,11 +321,12 @@ def test_field_ops_match_scalar_arithmetic(spec, data):
 
 
 # both sides of the byte-table limit q = 256, prime and extension fields, and
-# the one-reduction prime path up to 2^31 - 1
+# the one-reduction prime path up to 2^31 - 1; `isubmul` takes 7 unreduced
+# updates at 2^30 + 3 and 2 at 2^31 - 1 (`FieldOps.headroom`)
 SUBMUL_FIELDS = [field_create(2), field_create(5), field_create(251), field_create(257),
                  field_create(2, 2), field_create(2, 8), field_create(3, 5), field_create(17, 2),
                  field_create(3, 6), field_create(5, 7), field_create((1 << 20) + 7),
-                 field_create((1 << 31) - 1)]
+                 field_create((1 << 30) + 3), field_create((1 << 31) - 1)]
 
 
 @pytest.mark.parametrize("spec", SUBMUL_FIELDS, ids=str)
@@ -334,7 +335,9 @@ SUBMUL_FIELDS = [field_create(2), field_create(5), field_create(251), field_crea
 def test_submul_matches_scalar_arithmetic(spec, data):
     """x - a*b broadcast as the row updates use it: a column of factors
     against one row, (k, 1) x (1, c), and per slice of a stack,
-    (k, r, 1) x (k, 1, c); sometimes every operand is q - 1."""
+    (k, r, 1) x (k, 1, c); sometimes every operand is q - 1.  `isubmul`
+    takes up to `headroom` such updates in place, to the last one with
+    every operand q - 1 on the two largest primes, before one `reduce`."""
     top = data.draw(st.booleans())
     elems = st.just(spec.q - 1) if top else st.one_of(st.sampled_from([0, 1, spec.q - 1]),
                                                        st.integers(0, spec.q - 1))
@@ -351,6 +354,14 @@ def test_submul_matches_scalar_arithmetic(spec, data):
         want = [spec.sub(int(xi), spec.mul(int(ai), int(bi)))
                 for xi, ai, bi in zip(*(np.broadcast_to(v, shape).ravel() for v in (x, a, b)))]
         assert got.ravel().tolist() == want
+        updates = min(spec.ops.headroom, 8)
+        for _ in range(updates):
+            assert spec.ops.isubmul(x, a, b) is x
+        got = spec.ops.reduce(x)
+        for _ in range(updates - 1):
+            want = [spec.sub(w, spec.mul(int(ai), int(bi))) for w, ai, bi in
+                    zip(want, *(np.broadcast_to(v, shape).ravel() for v in (a, b)))]
+        assert got.dtype == np.int64 and got.ravel().tolist() == want
 
 
 # each side of the float64 tier's limit k (p-1)^2 < 2^53 (k = 8191 / 8192 at

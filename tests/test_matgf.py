@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tiso import rmt
 from tiso.errors import NotSimpleEigenvalue, ShapeMismatch
 from tiso.gf import field_create
-from tiso.matgf import (_WIDE, _WIDE_MIN_ROWS, MatGF, charpoly, det, eigen_profile,
+from tiso.matgf import (_TALL, _WIDE, _WIDE_MIN_ROWS, MatGF, charpoly, det, eigen_profile,
                         identity, inverse_det, mat, primary_split_basis,
                         random_invertible, random_matrix, right_kernel, rref,
                         rref_rank_kernel, rref_stack, solve_linear, trace,
@@ -22,9 +22,12 @@ F4 = field_create(2, 2)
 # one field per FieldOps backend and on both sides of the int64 threshold;
 # GF(2), GF(4) and GF(2^8) are both ends of the byte tables, which serve
 # `FieldOps.submul` on every field up to q = 256 and `mul` and `inv` on the
-# extension fields among them, and GF(257) is the first prime past them
-KERNEL_FIELDS = [F5, field_create((1 << 20) + 7), field_create((1 << 31) - 1),
-                 field_create(2, 8), field_create(3, 5), field_create(2), F4, field_create(257)]
+# extension fields among them, and GF(257) is the first prime past them;
+# the eliminations reduce a prime field's block every 7 columns at 2^30 + 3
+# and every 2 at 2^31 - 1 (`FieldOps.headroom`)
+KERNEL_FIELDS = [F5, field_create((1 << 20) + 7), field_create((1 << 30) + 3),
+                 field_create((1 << 31) - 1), field_create(2, 8), field_create(3, 5),
+                 field_create(2), F4, field_create(257)]
 
 
 def _rand(field, r, c, seed):
@@ -271,6 +274,46 @@ def test_window_path_matches_the_pivot_loop_oracle(field, kind, seed):
     R, pivots, _ = _eliminate_oracle(field, M)
     got, got_pivots = rref(field, M)
     assert got_pivots == pivots and (got == R).all()
+
+
+def _worst_updates(field, rows, cols):
+    """L U for the unit triangular L (rows x rows) and U (rows x cols) with
+    p - 1 everywhere below, respectively right of, the diagonal.  The
+    elimination meets its pivots 1 in order, and every row below a pivot
+    takes the update (p - 1)^2 on each column after it, the largest there
+    is: the last row takes rows - 1 of them."""
+    L = np.tril(np.full((rows, rows), field.p - 1), -1) + np.eye(rows, dtype=np.int64)
+    U = np.triu(np.full((rows, cols), field.p - 1), 1) + np.eye(rows, cols, dtype=np.int64)
+    return field.ops.matmul(L, U)
+
+
+@pytest.mark.parametrize("p, headroom", [((1 << 30) + 3, 7), ((1 << 31) - 1, 2)], ids=str)
+def test_elimination_is_exact_past_the_delayed_reduction_headroom(p, headroom):
+    """`rref`, `det`, `inverse_det` and `rref_stack` against the oracle, which
+    reduces every update, on matrices and stacks with 3 headroom + 2
+    pivots: on the pivot loop, the window path and the row-block path, with
+    uniform entries and with the largest updates, which overflow int64 from
+    headroom + 1 of them unreduced."""
+    field = field_create(p)
+    assert field.ops.headroom == headroom
+    n = 3 * headroom + 2
+    rng = np.random.default_rng(p)
+    for draw in (lambda r, c: rng.integers(0, p, size=(r, c)), lambda r, c: _worst_updates(field, r, c)):
+        square, rect, wide = draw(n, n), draw(n, n + 3), draw(n, _WIDE * n + 3)
+        for M in (square, rect, wide, draw(_TALL * n + 3, n)):
+            R, pivots, _ = _eliminate_oracle(field, M)
+            got, got_pivots = rref(field, M)
+            assert got_pivots == pivots and (got == R).all()
+        _, pivots, d = _eliminate_oracle(field, square)
+        assert len(pivots) == n and det(MatGF(field, square)) == d
+        R, _, d = _eliminate_oracle(field, np.concatenate([square, np.eye(n, dtype=np.int64)], axis=1))
+        inv, got_d = inverse_det(MatGF(field, square))
+        assert got_d == d and (inv.a == R[:, n:]).all()
+        stack = np.stack([rect, wide[:, :n + 3], rect[::-1], wide[:, -n - 3:]])
+        R, ranks, pivots = rref_stack(field, stack)
+        for i, S in enumerate(stack):
+            Ri, piv, _ = _eliminate_oracle(field, S)
+            assert (R[i] == Ri).all() and list(np.flatnonzero(pivots[i])) == piv and ranks[i] == len(piv)
 
 
 def test_inverse_det_round_trip():

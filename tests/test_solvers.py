@@ -134,31 +134,35 @@ def test_mcc_self_solve_on_deep_instance():
 F8209 = field_create(8209)
 
 
-def _deep_outcomes_over_gf8209(problem, planted, seeds=range(16)):
+def _seeded_outcomes(problem, field, n, mode, seeds=range(16)):
     """(verdict letters and stages, digest of every verdict and stage-trace
-    JSON) of seeded solves on deep n = 6 pairs over GF(8209).  Above
-    q = 4096 a spectral gate that fails with two or more eigenvalues in F_q
-    once split them with draws from the solver's rng; these pairs include
-    such failures."""
+    JSON) of seeded solves.  mode is a `gen_instance` mode, or "deep planted"
+    or "deep unrelated" for pairs built on `deep_slices`."""
     h = hashlib.blake2b(digest_size=12)
     verdicts = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        direction = "horizontal" if problem == "algiso" else "frontal"
-        A = reassemble(F8209, deep_slices(F8209, 6, rng), direction)
-        if not planted:
-            B = reassemble(F8209, deep_slices(F8209, 6, rng), direction)
-        elif problem == "algiso":
-            B = act_algebra(A, random_invertible(F8209, 6, rng))
+        if not mode.startswith("deep"):
+            A, B, _ = gen_instance(problem, n, field, mode, rng)
         else:
-            B = act_code_conj(A, random_invertible(F8209, 6, rng), random_invertible(F8209, 6, rng))
+            direction = "horizontal" if problem == "algiso" else "frontal"
+            A = reassemble(field, deep_slices(field, n, rng), direction)
+            if mode == "deep unrelated":
+                B = reassemble(field, deep_slices(field, n, rng), direction)
+            elif problem == "algiso":
+                B = act_algebra(A, random_invertible(field, n, rng))
+            else:
+                B = act_code_conj(A, random_invertible(field, n, rng), random_invertible(field, n, rng))
         verdict, trace = solve(problem, A, B, rng=seed)
         verdicts.append(verdict.kind[0] + (verdict.stage or "")[-1:])
         h.update(json.dumps([verdict.to_json(), trace.to_json()]).encode())
     return " ".join(verdicts), h.hexdigest()
 
 
-# recorded before the spectral gate stopped drawing from the rng on failure
+# recorded before the spectral gate stopped drawing from the rng on failure;
+# deep n = 6 pairs over GF(8209).  Above q = 4096 a spectral gate that fails
+# with two or more eigenvalues in F_q once split them with draws from the
+# solver's rng; these pairs include such failures.
 _GF8209_RECORDED = {
     ("algiso", True): ("F4 F4 F5 F4 F4 F4 I F4 F4 I F4 F4 F5 I F4 F5", "7763915a4ea67662286352aa"),
     ("algiso", False): ("F4 F4 F5 F4 F4 F4 N4 F4 F4 N5 F4 F4 F5 N4 F4 F5", "94338c77066969f2a7430303"),
@@ -169,7 +173,32 @@ _GF8209_RECORDED = {
 
 @pytest.mark.parametrize("problem,planted", list(_GF8209_RECORDED), ids=str)
 def test_seeded_solves_over_gf8209_match_the_recorded_outcomes(problem, planted):
-    assert _deep_outcomes_over_gf8209(problem, planted) == _GF8209_RECORDED[problem, planted]
+    mode = "deep planted" if planted else "deep unrelated"
+    assert _seeded_outcomes(problem, F8209, 6, mode) == _GF8209_RECORDED[problem, planted]
+
+
+# recorded before the prime-field eliminations delayed their reductions:
+# the instance kinds of the benchmark's sweep and t4_corank workloads, and a
+# deep mcc over GF(2^31 - 1), where a block takes 2 updates between reductions
+_PRIME_RECORDED = {
+    ("algiso", 5, 24, "planted"): ("F2 F3 F2 F2 F3 F2 F2 F2 F2 F2 F2 F2 F4 F3 F3 F3",
+                                   "2886d3076745a1107b22554b"),
+    ("algiso", 5, 24, "unrelated"): ("F2 N2 F2 F2 N2 F2 F2 F2 F2 F2 F2 F2 N2 N2 N2 N2",
+                                     "eb16c6a41df6a8d09e73a2ba"),
+    ("mcc", 7, 10, "planted"): ("F2 F2 F2 F2 F2 F2 F2 F2 F2 F2 F2 F2 F2 F2 F2 F2",
+                                "e5687cffc4a51d8bd738e2ae"),
+    ("t4", 2, 3, "unrelated"): ("N2 N2 N2 N2 F3 F3 N2 N2 F3 N2 N2 N2 F2 F3 F3 N2",
+                                "ad89544d3f8b2799f8f4a8e5"),
+    ("t4", 2, 3, "planted_corank(3)"): ("F3 I F3 I I I I I F5 I I I I I I I",
+                                        "c6df3948483d1d9684cfdc65"),
+    ("mcc", (1 << 31) - 1, 16, "deep planted"): ("F6 F6 F6 F6 F6 F6 F6 F6 F6 F6 F6 F6 F6 F6 F6 I",
+                                                 "b1be561c596fde1f1ef30f7a"),
+}
+
+
+@pytest.mark.parametrize("problem,p,n,mode", list(_PRIME_RECORDED), ids=str)
+def test_seeded_solves_over_prime_fields_match_the_recorded_outcomes(problem, p, n, mode):
+    assert _seeded_outcomes(problem, field_create(p), n, mode) == _PRIME_RECORDED[problem, p, n, mode]
 
 
 def _hull_one_stacks(field, n, count, rng):
