@@ -2,18 +2,21 @@
 """Kernel rows for the elimination row update, the extension-field
 products and the t4 candidate screen: the best-of-N wall time, in ms, of
 `matgf._pivot_loop` on one seeded random matrix per row, of
-`matgf.rref_stack` on one seeded random stack, of `FieldOps.matmul`, `mul`,
-`inv` and `submul` on seeded random operands, over the fields the benchmark
-workloads use, and of `solvers._ordered_basis_candidates` on the first
-kernel-code side of a seeded planted corank-3 t4 instance that passes the
-step-3 gate (shape [n, c]).  The `mul` and `inv` rows over GF(2^8) and
+`matgf.rref_stack` on one seeded random stack, of `matgf.charpoly` on one
+seeded random square matrix, of `FieldOps.matmul`, `mul`, `inv` and
+`isubmul` (on a fresh copy of x each call) on seeded random operands, over
+the fields the benchmark workloads use, and of
+`solvers._ordered_basis_candidates` on the first kernel-code side of a
+seeded planted corank-3 t4 instance that passes the step-3 gate (shape
+[n, c]).  The `mul` and `inv` rows over GF(2^8) and
 GF(3^5) read the q x q byte tables; those over GF(17^2) and GF(3^6), the
 first fields past q = 256, take digit planes.
 
 Each row runs once untimed first, so lazily built field tables are not
 timed.  Prints one JSON object; its "rows" are the kernel rows of
 BENCH_elimination.json, BENCH_plane_products.json, BENCH_field_tables.json,
-BENCH_t4_enumeration.json and BENCH_delayed_reduction.json.
+BENCH_t4_enumeration.json, BENCH_delayed_reduction.json and
+BENCH_row_update.json.
 
 Example:
     python3 scripts/elim_kernels.py --repeats 5
@@ -28,7 +31,7 @@ import numpy as np
 
 from tiso import cli
 from tiso.gf import field_create
-from tiso.matgf import _pivot_loop, rref_rank_kernel, rref_stack
+from tiso.matgf import MatGF, _pivot_loop, charpoly, rref_rank_kernel, rref_stack
 from tiso.solvers import _kernel_code_side, _ordered_basis_candidates
 from tiso.tensor import flatten4, gen_instance, vec_to_matrix
 
@@ -36,10 +39,11 @@ from tiso.tensor import flatten4, gen_instance, vec_to_matrix
 KERNELS = {
     "_pivot_loop": _pivot_loop,
     "rref_stack": rref_stack,
+    "charpoly": lambda field, A: charpoly(MatGF(field, A)),
     "matmul": lambda field, *xs: field.ops.matmul(*xs),
     "mul": lambda field, *xs: field.ops.mul(*xs),
     "inv": lambda field, *xs: field.ops.inv(*xs),
-    "submul": lambda field, *xs: field.ops.submul(*xs),
+    "isubmul": lambda field, x, a, b: field.ops.isubmul(x.copy(), a, b),
     "t4_candidates": _ordered_basis_candidates,
 }
 
@@ -58,6 +62,11 @@ ROWS = [
     ("rref_stack", (2, 1), [(512, 9, 18)]),
     ("rref_stack", (2, 1), [(8, 3, 6)]),
     ("rref_stack", (2, 1), [(6, 18, 9)]),
+    ("charpoly", (7, 1), [(10, 10)]),
+    ("charpoly", ((1 << 20) + 7, 1), [(32, 32)]),
+    ("charpoly", ((1 << 31) - 1, 1), [(16, 16)]),
+    ("charpoly", (3, 5), [(16, 16)]),
+    ("charpoly", (5, 7), [(8, 8)]),
     ("matmul", (2, 8), [(16, 16), (16, 16)]),
     ("matmul", (2, 8), [(16, 16), (16, 224)]),
     ("matmul", (2, 8), [(16, 16), (16, 256)]),
@@ -82,8 +91,8 @@ ROWS = [
     ("inv", (3, 5), [(24,)]),
     ("inv", (17, 2), [(24,)]),
     ("inv", (3, 6), [(24,)]),
-    ("submul", (5, 7), [(8, 24), (8, 1), (1, 24)]),
-    ("submul", (5, 7), [(16, 48), (16, 1), (1, 48)]),
+    ("isubmul", (5, 7), [(8, 24), (8, 1), (1, 24)]),
+    ("isubmul", (5, 7), [(16, 48), (16, 1), (1, 48)]),
     ("t4_candidates", (2, 1), [(3, 3)]),
     ("t4_candidates", (2, 2), [(3, 3)]),
 ]

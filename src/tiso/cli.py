@@ -160,10 +160,9 @@ def _run_trial(problem, n, field, mode, seed):
     pools can ship it to workers."""
     A, B, _w = gen_instance(problem, n, field, mode, seed)
     t0 = time.perf_counter()
-    verdict, trace = solve(problem, A, B, rng=seed)
+    verdict, _ = solve(problem, A, B, rng=seed)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    return {"verdict": verdict.kind, "stage": verdict.stage,
-            "stages": trace.to_json(), "wall_ms": wall_ms}
+    return {"verdict": verdict.kind, "stage": verdict.stage, "wall_ms": wall_ms}
 
 
 def wilson_interval(hits: int, trials: int, z: float = 1.96):

@@ -11,7 +11,7 @@ through the tuple's Krylov closure, which is what makes large-n solves cheap.
 
 Every span question here (does a seed generate F^n under the tuple, is a
 vector cyclic, do two matrices generate M(n, q)) is a rank read off
-`matgf.rref`, so it runs on the library's one elimination, `_eliminate`.
+`matgf.rref`, so it runs on the library's one pivot loop.
 """
 
 from __future__ import annotations

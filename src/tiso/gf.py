@@ -6,10 +6,10 @@ For prime fields (m = 1) this is just the usual integer residue.
 
 A :class:`FieldSpec` carries the scalar arithmetic; :class:`FieldOps`
 (``spec.ops``) exposes vectorized counterparts on int64 arrays (base-p digit
-planes over extension fields) for the dense linear-algebra layer, and the
-row update x - a*b: `FieldOps.submul`, reduced (two gathers from q x q byte
-tables for q <= 256), and the eliminations' `isubmul`, unreduced on primes.
-Those tables also serve `mul` and `inv` on extension fields up to q = 256.
+planes over extension fields) for the dense linear-algebra layer, and its
+one row update x -= a*b, `FieldOps.isubmul`: in place, unreduced on prime
+fields, and two gathers from q x q byte tables on extension fields up to
+q = 256, whose `mul` and `inv` those tables serve too.
 Extension-field matrix products, and elementwise ones above q = 256, sum
 their digit-plane products unreduced in float64 while every partial sum
 stays below 2^53, and reduce once per product.
@@ -44,7 +44,7 @@ from .poly import (Poly, _power, poly, poly_divmod, poly_eval, poly_gcd, poly_in
 
 _MAX_P = 1 << 31
 _MAX_Q = 1 << 62
-_BYTE_TABLE_LIMIT = 256  # uint8 mul, sub and inv tables (`FieldOps._tables`) up to here
+_BYTE_TABLE_LIMIT = 256  # extension fields' byte tables (`FieldOps._tables`) up to here
 
 
 def as_int(x) -> int:
@@ -377,15 +377,15 @@ class FieldOps:
     below 2^62.  `matmul` is one float64 BLAS product while every dot product
     stays below 2^53, one int64 product below 2^62, and splits B into 16-bit
     limbs beyond that.  Extension fields work on the m base-p digit planes of
-    an array: `matmul`, and `mul`, `inv` and `submul` above q = 256, sum
+    an array: `matmul`, and `mul`, `inv` and `isubmul` above q = 256, sum
     plane products unreduced in float64 below 2^53 (`_product`) and fold them
-    by the modulus; addition is digitwise.  For q <= 256 `submul` (x - a*b)
-    gathers twice from q x q uint8 mul and sub tables, and extension-field
-    `mul` and `inv` gather once; on larger prime fields `submul` takes one `%`.
-    `isubmul` leaves prime-field reps unreduced (delayed reduction, as in
-    FFLAS-FFPACK): an update takes at most (p − 1)² off an entry, so int64
-    holds `headroom` = ⌊(2^63 − 1 − p)/(p − 1)²⌋ of them between `reduce`s
-    (2 at p = 2^31 − 1, about 2^23 at 2^20 + 7).
+    by the modulus; addition is digitwise.  Up to q = 256 an extension
+    field's `isubmul` (x -= a*b) gathers twice from q x q uint8 mul and sub
+    tables, and its `mul` and `inv` gather once.  On a prime field `isubmul`
+    leaves the reps unreduced (delayed reduction, as in FFLAS-FFPACK): an
+    update takes at most (p − 1)² off an entry, so int64 holds `headroom` =
+    ⌊(2^63 − 1 − p)/(p − 1)²⌋ of them between `reduce`s (2 at p = 2^31 − 1,
+    about 2^23 at 2^20 + 7).
     """
 
     dtype = np.int64
@@ -466,24 +466,22 @@ class FieldOps:
             return self._tables[0][x * self.q + y].astype(np.int64)
         return self._product(x, y, False)
 
-    def submul(self, x, a, b):
-        """x - a*b elementwise, broadcast, as int64."""
-        if self.q <= _BYTE_TABLE_LIMIT:
-            mul, sub, _ = self._tables
-            return sub[np.asarray(x, dtype=np.int64) * self.q + mul[a * self.q + b]].astype(np.int64)
-        if self.prime:
-            # a*b < 2^62 for p < 2^31, so one reduction is exact
-            return (x - a * b) % self.p
-        return self._product(a, b, False, x)
-
     @cached_property
     def headroom(self) -> int:
         """How many `isubmul` updates an array takes between `reduce`s."""
         return ((1 << 63) - 1 - self.p) // (self.p - 1) ** 2 if self.prime else 1 << 63
 
     def isubmul(self, x, a, b):
-        """x -= a*b in place, returning x; unreduced on a prime field."""
-        x[...] = x - a * b if self.prime else self.submul(x, a, b)
+        """x -= a*b in place for the int64 array x, a and b broadcast to it;
+        returns x, unreduced on a prime field and reduced otherwise."""
+        if self.prime:
+            # every rep is below 2^31, so a*b < 2^62
+            x[...] = x - a * b
+        elif self.q <= _BYTE_TABLE_LIMIT:
+            mul, sub, _ = self._tables
+            x[...] = sub[x * self.q + mul[a * self.q + b]]
+        else:
+            x[...] = self._product(a, b, False, x)
         return x
 
     def reduce(self, x):
@@ -493,13 +491,14 @@ class FieldOps:
     @cached_property
     def _tables(self):
         """Flat uint8 mul[a q + b] = a*b and sub[a q + b] = a - b, and inv[a] =
-        1/a with inv[0] = 0, for q <= 256; built a block of rows at a time,
-        which keeps the digit planes of the extension-field products small."""
+        1/a with inv[0] = 0, for an extension field with q <= 256; built a
+        block of rows at a time, which keeps the digit planes of the
+        products small."""
         q, b, rows = self.q, np.arange(self.q), 8
         mul, sub = np.empty((2, q, q), dtype=np.uint8)
         for r in range(0, q, rows):
             a = b[r:r + rows, None]
-            mul[r:r + rows] = a * b % self.p if self.prime else self._product(a, b, False)
+            mul[r:r + rows] = self._product(a, b, False)
             sub[r:r + rows] = self.sub(a, b)
         # row 0 holds no 1, and argmax of an all-False row is 0
         return mul.ravel(), sub.ravel(), np.argmax(mul == 1, axis=1)

@@ -3,19 +3,20 @@
 Matrices wrap int64 numpy arrays of canonical field reps, and every
 arithmetic step on them goes through the field's vectorized
 :class:`tiso.gf.FieldOps`, so everything here is exact for every field.
-`rref`, `det`, `inverse_det` and `solve_linear` share one elimination,
-`_eliminate`, and every other rank and span question in the library (the
-Krylov, closure and algebra-generation ranks of `tiso.conj` too) is an
-`rref`.  It is a pivot loop with full-width row operations, except on a
-wide matrix of at least `_WIDE_MIN_ROWS` rows or a tall matrix: there the
-loop runs only on a narrow column window or on row blocks, and the bulk of
-the work is one `FieldOps.matmul` (rank-profile elimination after Dumas,
-Giorgi and Pernet, FFLAS-FFPACK, and Jeannerod, Pernet and Storjohann,
-2013).  `rref_stack` runs the loop over a stack of matrices at once.  Each
-pivot updates all rows from its column on with one x -= a*b, `isubmul`,
+Every rank and span question in the library (the Krylov, closure and
+algebra-generation ranks of `tiso.conj` too) is an `rref`.  It is one pivot
+loop with full-width row operations, `_pivot_loop`, except on a wide matrix
+of at least `_WIDE_MIN_ROWS` rows or a tall matrix: there the loop runs only
+on a narrow column window or on row blocks, and the bulk of the work is one
+`FieldOps.matmul` (rank-profile elimination after Dumas, Giorgi and Pernet,
+FFLAS-FFPACK, and Jeannerod, Pernet and Storjohann, 2013).  `det` and
+`inverse_det` call the loop directly, since it alone also returns the
+determinant, and `rref_stack` runs it over a stack of matrices at once.
+Each pivot updates all rows from its column on with one x -= a*b, `isubmul`,
 unreduced on prime fields: the loops reduce what they read, the rest every
 `FieldOps.headroom` = ⌊(2^63 − 1 − p)/(p − 1)²⌋ columns and all at the end
-(pivot columns are zero mod p till then); charpoly's updates use `submul`.
+(pivot columns are zero mod p till then).  The Hessenberg `charpoly` takes
+the same update and reduces it at once, since the next step reads it all.
 `right_kernel` takes one elimination (`rref_rank_kernel` adds the left
 kernel), and `solve_linear` reads the solutions for many right-hand sides and
 the kernel off one elimination of [A | b].
@@ -113,28 +114,17 @@ def identity(field: FieldSpec, n: int) -> MatGF:
 # elimination
 
 
-def rref(field: FieldSpec, M: np.ndarray):
-    """Reduced row-echelon form of M (a raw rep array): (R, pivot_cols)."""
-    R, pivots, _ = _eliminate(field, M)
-    return R, pivots
-
-
 # A matrix at least _WIDE times as wide as tall, or _TALL times as tall as
-# wide, takes a rank-profile path of `_eliminate` (kernel rows in
-# BENCH_rref.json); a wide one needs _WIDE_MIN_ROWS rows, below which the
-# pivot loop is as fast or faster (kernel rows in BENCH_spectral.json).
+# wide, takes a rank-profile path of `rref` (kernel rows in BENCH_rref.json);
+# a wide one needs _WIDE_MIN_ROWS rows, below which the pivot loop is as fast
+# or faster (kernel rows in BENCH_spectral.json).
 _WIDE = 4
 _WIDE_MIN_ROWS = 8
 _TALL = 4
 
 
-def _eliminate(field: FieldSpec, M: np.ndarray):
-    """(R, pivot_cols, d): `rref` and the signed product of the pivots.
-
-    d is the sign of the row swaps times the product of the pivots, taken
-    before each is scaled to 1, so it is det(M[:, :rows]) when the pivots
-    are exactly the first `rows` columns.  The row-block path for tall M,
-    where that cannot happen, returns d = 0.
+def rref(field: FieldSpec, M: np.ndarray):
+    """Reduced row-echelon form of M (a raw rep array): (R, pivot_cols).
 
     A wide M eliminates [M[:, :w] | I] over a window of w = 2 rows columns.
     When the window holds every pivot, the I block has become the transform
@@ -151,9 +141,9 @@ def _eliminate(field: FieldSpec, M: np.ndarray):
     rows, cols = M.shape
     if rows >= _WIDE_MIN_ROWS and cols >= _WIDE * rows:
         w = 2 * rows
-        W, pivots, d = _pivot_loop(field, np.concatenate([M[:, :w], identity(field, rows).a], axis=1))
+        W, pivots, _ = _pivot_loop(field, np.concatenate([M[:, :w], identity(field, rows).a], axis=1))
         if pivots[-1] < w:
-            return np.concatenate([W[:, :w], ops.matmul(W[:, w:], M[:, w:])], axis=1), pivots, d
+            return np.concatenate([W[:, :w], ops.matmul(W[:, w:], M[:, w:])], axis=1), pivots
     elif cols and rows >= _TALL * cols:
         R, pivots, rest = ops.zeros((rows, cols)), [], M
         while len(pivots) < cols:
@@ -166,12 +156,15 @@ def _eliminate(field: FieldSpec, M: np.ndarray):
             rest = rest[end:]
             if len(pivots) < cols:
                 rest = ops.sub(rest, ops.matmul(rest[:, pivots], R[:len(pivots)]))
-        return R, pivots, 0
-    return _pivot_loop(field, M)
+        return R, pivots
+    return _pivot_loop(field, M)[:2]
 
 
 def _pivot_loop(field: FieldSpec, M: np.ndarray):
-    """`_eliminate` by full-width row operations, one pivot column at a time."""
+    """(R, pivot_cols, d): the RREF of M by full-width row operations, one
+    pivot column at a time, and d, the sign of the row swaps times the
+    product of the pivots taken before each is scaled to 1, which is
+    det(M[:, :rows]) when the pivots are exactly the first `rows` columns."""
     ops = field.ops
     R = np.array(M, dtype=ops.dtype, copy=True)
     rows, cols = R.shape
@@ -299,7 +292,7 @@ def inverse_det(A: MatGF):
     n = A.rows
     if n != A.cols:
         raise ShapeMismatch("inverse of non-square matrix")
-    R, pivots, d = _eliminate(A.field, np.concatenate([A.a, identity(A.field, n).a], axis=1))
+    R, pivots, d = _pivot_loop(A.field, np.concatenate([A.a, identity(A.field, n).a], axis=1))
     # A is invertible iff its own columns hold every pivot
     if pivots != list(range(n)):
         return None, 0
@@ -309,7 +302,7 @@ def inverse_det(A: MatGF):
 def det(A: MatGF) -> int:
     if A.rows != A.cols:
         raise ShapeMismatch("determinant of non-square matrix")
-    _, pivots, d = _eliminate(A.field, A.a)
+    _, pivots, d = _pivot_loop(A.field, A.a)
     return d if len(pivots) == A.rows else 0
 
 
@@ -332,7 +325,7 @@ def _hessenberg(field: FieldSpec, M: np.ndarray) -> np.ndarray:
         inv = ops.scalar_inv(H[k + 1, k])
         factors = ops.mul(H[k + 2:, k], inv)
         if factors.shape[0]:
-            H[k + 2:, :] = ops.submul(H[k + 2:, :], factors[:, None], H[k + 1, :][None, :])
+            H[k + 2:] = ops.reduce(ops.isubmul(H[k + 2:], factors[:, None], H[k + 1]))
             # inverse similarity on columns: col_{k+1} += sum_i factor_i * col_i
             contrib = ops.matmul(H[:, k + 2:], factors[:, None])[:, 0]
             H[:, k + 1] = ops.add(H[:, k + 1], contrib)
@@ -361,7 +354,7 @@ def _charpoly_hessenberg(field: FieldSpec, H: np.ndarray) -> Poly:
     for k in range(1, n + 1):
         pk = ops.zeros(n + 1)
         pk[1:] = P[k - 1, :-1]  # t * p_{k-1}
-        pk = ops.submul(pk, H[k - 1, k - 1], P[k - 1])
+        pk = ops.reduce(ops.isubmul(pk, H[k - 1, k - 1], P[k - 1]))
         if k > 1:
             s = H[k - 1, k - 2]
             sub[1:k - 1] = ops.mul(sub[1:k - 1], s)

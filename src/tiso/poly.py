@@ -3,13 +3,13 @@
 Coefficients are canonical field reps, low-to-high, trailing zeros stripped.
 Root finding isolates the linear-factor part via gcd(f, t^q - t), with
 t^q mod f from `powmod`: a power of the d x d matrix of multiplication by t
-modulo f, by the one square-and-multiply, `_power`, that `tiso.gf` and
-`tiso.matgf` import from here.  A linear part of degree 1 gives its root
-directly; a larger one is evaluated exhaustively (q <= 2^12) or split by
-randomized equal-degree splitting by quadratic residues.  That split needs
-odd q, which always holds there: `gf.field_create` caps the extension degree
-at 8, so every field of characteristic 2 has q <= 2^8 and takes the
-exhaustive path.
+modulo f, by the one square-and-multiply, `_power`, that `tiso.gf`,
+`tiso.matgf` and `tiso.rmt` (for its series powers) import from here.  A
+linear part of degree 1 gives its root directly; a larger one is evaluated
+exhaustively (q <= 2^12) or split by randomized equal-degree splitting by
+quadratic residues.  That split needs odd q, which always holds there:
+`gf.field_create` caps the extension degree at 8, so every field of
+characteristic 2 has q <= 2^8 and takes the exhaustive path.
 
 `tiso.gf` tests its moduli for irreducibility and inverts extension-field
 elements with this module over F_p, so this module must not import `tiso.gf`

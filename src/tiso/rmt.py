@@ -34,7 +34,7 @@ from .errors import BadParams, InvariantViolation, NonIntegralCount, TooLarge
 from .gf import FieldSpec, additive_character, digit_planes, join_digit_planes
 from .matgf import (charpoly_stack, random_matrix, rref, trace_of_square,
                     trace_of_square_stack, unique_simple_eigenvalue)
-from .poly import Poly, poly, poly_divmod, poly_eval, poly_mul, roots_in_Fq
+from .poly import Poly, _power, poly, poly_divmod, poly_eval, poly_mul, roots_in_Fq
 from .tensor import as_rng, field_from_q, prime_power
 
 CENSUS_LIMIT = 1 << 24
@@ -90,10 +90,8 @@ class RationalSeries:
     def pow(self, e: int) -> "RationalSeries":
         if e < 0:
             return self.inv().pow(-e)
-        acc = RationalSeries(tuple([Fraction(1)] + [Fraction(0)] * self.order))
-        for _ in range(e):  # exact repeated multiplication
-            acc = acc.mul(self)
-        return acc
+        one = RationalSeries(tuple([Fraction(1)] + [Fraction(0)] * self.order))
+        return _power(RationalSeries.mul, self, e, one)
 
 
 def _check_q(q: int) -> int:

@@ -21,41 +21,31 @@ PROBLEMS = ("algiso", "mcc", "t4")
 
 
 @dataclass
-class Tensor3:
+class _Tensor:
+    """Dense array of canonical field reps; equal to a tensor of the same
+    class, field and entries."""
+
+    field: FieldSpec
+    a: np.ndarray
+
+    @property
+    def dims(self):
+        return self.a.shape
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.field == other.field
+                and self.a.shape == other.a.shape and bool((self.a == other.a).all()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dims={self.dims} over {self.field})"
+
+
+class Tensor3(_Tensor):
     """Dense l x m x n array of canonical field reps."""
 
-    field: FieldSpec
-    a: np.ndarray  # 3-D
 
-    @property
-    def dims(self):
-        return self.a.shape
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor3) and self.field == other.field
-                and self.a.shape == other.a.shape and bool((self.a == other.a).all()))
-
-    def __repr__(self):
-        return f"Tensor3(dims={self.dims} over {self.field})"
-
-
-@dataclass
-class Tensor4:
+class Tensor4(_Tensor):
     """Dense n x n x n x n array of canonical field reps."""
-
-    field: FieldSpec
-    a: np.ndarray  # 4-D
-
-    @property
-    def dims(self):
-        return self.a.shape
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor4) and self.field == other.field
-                and self.a.shape == other.a.shape and bool((self.a == other.a).all()))
-
-    def __repr__(self):
-        return f"Tensor4(dims={self.dims} over {self.field})"
 
 
 @dataclass
@@ -121,13 +111,19 @@ def mode_product(field: FieldSpec, arr: np.ndarray, M: np.ndarray, axis: int) ->
     return np.moveaxis(out, 0, axis)
 
 
-def act3(A: Tensor3, L: MatGF, R: MatGF, T: MatGF) -> Tensor3:
-    """b_{ijk} = sum l_{i,i'} r_{j,j'} t_{k,k'} a_{i'j'k'}."""
-    field = A.field
-    out = mode_product(field, A.a, L.a, 0)
-    out = mode_product(field, out, R.a, 1)
-    out = mode_product(field, out, T.a, 2)
-    return Tensor3(field, out)
+def act3(A: Tensor3 | Tensor4, *mats: MatGF) -> Tensor3 | Tensor4:
+    """One matrix per axis: b_{ijk} = sum l_{i,i'} r_{j,j'} t_{k,k'} a_{i'j'k'}
+    for (L, R, T) on a Tensor3, and b_{ijkl} likewise for (L, R, S, T) on a
+    Tensor4 (`act4`)."""
+    if len(mats) != A.a.ndim:
+        raise ShapeMismatch(f"{type(A).__name__} takes {A.a.ndim} matrices, got {len(mats)}")
+    out = A.a
+    for axis, M in enumerate(mats):
+        out = mode_product(A.field, out, M.a, axis)
+    return type(A)(A.field, out)
+
+
+act4 = act3
 
 
 def _inv_transpose(T: MatGF) -> MatGF:
@@ -155,16 +151,6 @@ def act_code_conj(A: Tensor3, S: MatGF, T: MatGF) -> Tensor3:
     if not (l == m == n) or S.shape != (n, n) or T.shape != (n, n):
         raise ShapeMismatch("act_code_conj needs a cubic tensor and n x n maps")
     return act3(A, S, _inv_transpose(S), T)
-
-
-def act4(A: Tensor4, L: MatGF, R: MatGF, S: MatGF, T: MatGF) -> Tensor4:
-    """b_{ijkl} = sum l_{i,i'} r_{j,j'} s_{k,k'} t_{l,l'} a_{i'j'k'l'}."""
-    field = A.field
-    out = mode_product(field, A.a, L.a, 0)
-    out = mode_product(field, out, R.a, 1)
-    out = mode_product(field, out, S.a, 2)
-    out = mode_product(field, out, T.a, 3)
-    return Tensor4(field, out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ from tiso.poly import poly, poly_eval, roots_in_Fq
 F5 = field_create(5)
 F4 = field_create(2, 2)
 # one field per FieldOps backend and on both sides of the int64 threshold;
-# GF(2), GF(4) and GF(2^8) are both ends of the byte tables, which serve
-# `FieldOps.submul` on every field up to q = 256 and `mul` and `inv` on the
-# extension fields among them, and GF(257) is the first prime past them;
+# GF(4) and GF(2^8) are both ends of the byte tables, which serve
+# `FieldOps.isubmul`, `mul` and `inv` on extension fields up to q = 256;
 # the eliminations reduce a prime field's block every 7 columns at 2^30 + 3
 # and every 2 at 2^31 - 1 (`FieldOps.headroom`)
 KERNEL_FIELDS = [F5, field_create((1 << 20) + 7), field_create((1 << 30) + 3),

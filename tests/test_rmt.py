@@ -62,6 +62,14 @@ def test_series_basic_coefficients():
     assert rmt.v_n(2, 2) == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("q", [3, 4, 9, (1 << 20) + 7, (1 << 31) - 1])
+def test_v2_is_the_irreducible_charpoly_share_at_large_q(q):
+    """v_2 = q / (2 (q + 1)), the share of GL(2, q) whose charpoly is
+    irreducible; the series power U^-(q-1) is square-and-multiply, so
+    this is quick at the largest primes too."""
+    assert rmt.v_n(q, 2) == Fraction(q, 2 * (q + 1))
+
+
 def test_series_inverse_and_truncation():
     S = rmt.u_series(3, 12)
     P = S.mul(S.inv())
@@ -121,14 +129,21 @@ def test_census_one_path_for_prime_and_extension_fields():
 
 # one field per FieldOps backend: small and large primes, byte tables, and the
 # digit-plane products above the table limit
-@pytest.mark.parametrize("pm", [(2, 1), (5, 1), ((1 << 31) - 1, 1), (2, 8), (3, 5), (5, 7)],
-                         ids=str)
+@pytest.mark.parametrize("pm", [(2, 1), (5, 1), (7, 1), ((1 << 31) - 1, 1), (2, 8), (3, 5),
+                                (5, 7)], ids=str)
 def test_stack_charpoly_matches_charpoly(pm):
     field = field_create(*pm)
     rng = np.random.default_rng(sum(pm))
     for n in range(1, 7):
         D = rng.integers(0, field.q, size=(6, n, n), dtype=np.int64)
         D[0] = 0
+        # zeros below the subdiagonal: D[1] is upper triangular, so the
+        # Hessenberg reduction skips every column, and D[2] swaps rows (and
+        # columns) 1 and n - 1 first
+        D[1][np.tril_indices(n, -1)] = 0
+        if n > 2:
+            D[2, 1:, 0] = 0
+            D[2, -1, 0] = 1
         cols = charpoly_stack(field, D)
         for i in range(D.shape[0]):
             assert tuple(cols[i].tolist()) == charpoly(MatGF(field, D[i])).coeffs

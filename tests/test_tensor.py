@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tiso.errors import BadParams
+from tiso.errors import BadParams, ShapeMismatch
 from tiso.gf import field_create
 from tiso.matgf import identity, inverse_det, mat, random_invertible
 from tiso.tensor import (Tensor3, Tensor4, act3, act4, act_algebra,
@@ -109,6 +109,10 @@ def test_act3_composition():
     assert act3(A, I, I, I) == A
     B = act3(A, *mats)
     assert B.dims == A.dims
+    # the result, equality and repr are keyed on the tensor's class
+    assert type(B) is Tensor3 and A != Tensor4(F5, A.a) and repr(A).startswith("Tensor3(")
+    with pytest.raises(ShapeMismatch):
+        act3(A, I, I)
 
 
 def test_parse_mode():
