@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Kernel rows for the elimination row update, the extension-field
-products and the t4 candidate screen: the best-of-N wall time, in ms, of
-`matgf._pivot_loop` on one seeded random matrix per row, of
-`matgf.rref_stack` on one seeded random stack, of `matgf.charpoly` on one
-seeded random square matrix, of `FieldOps.matmul`, `mul`, `inv` and
-`isubmul` (on a fresh copy of x each call) on seeded random operands, over
-the fields the benchmark workloads use, and of
+products, the t4 candidate screen and step 6's centralizer gate: the
+best-of-N wall time, in ms, of `matgf._pivot_loop` on one seeded random
+matrix per row, of `matgf.rref_stack` on one seeded random stack, of
+`matgf.charpoly` on one seeded random square matrix, of `FieldOps.matmul`,
+`mul`, `inv` and `isubmul` (on a fresh copy of x each call) on seeded random
+operands, over the fields the benchmark workloads use, of
 `solvers._ordered_basis_candidates` on the first kernel-code side of a
 seeded planted corank-3 t4 instance that passes the step-3 gate (shape
-[n, c]).  The `mul` and `inv` rows over GF(2^8) and
+[n, c]), and of `conj.centralizer_is_scalars` on a seeded random pair whose
+first member has a unique simple eigenvalue, seeded with its right
+eigenvector (shape [2, n, n]).  The `mul` and `inv` rows over GF(2^8) and
 GF(3^5) read the q x q byte tables; those over GF(17^2) and GF(3^6), the
 first fields past q = 256, take digit planes.
 
 Each row runs once untimed first, so lazily built field tables are not
 timed.  Prints one JSON object; its "rows" are the kernel rows of
 BENCH_elimination.json, BENCH_plane_products.json, BENCH_field_tables.json,
-BENCH_t4_enumeration.json, BENCH_delayed_reduction.json and
-BENCH_row_update.json.
+BENCH_t4_enumeration.json, BENCH_delayed_reduction.json,
+BENCH_row_update.json and BENCH_centralizer.json.
 
 Example:
     python3 scripts/elim_kernels.py --repeats 5
@@ -30,8 +32,10 @@ import time
 import numpy as np
 
 from tiso import cli
+from tiso.conj import centralizer_is_scalars
 from tiso.gf import field_create
-from tiso.matgf import MatGF, _pivot_loop, charpoly, rref_rank_kernel, rref_stack
+from tiso.matgf import (MatGF, _pivot_loop, charpoly, random_matrix, rref_rank_kernel,
+                        rref_stack, unique_simple_eigenvalue)
 from tiso.solvers import _kernel_code_side, _ordered_basis_candidates
 from tiso.tensor import flatten4, gen_instance, vec_to_matrix
 
@@ -45,6 +49,7 @@ KERNELS = {
     "inv": lambda field, *xs: field.ops.inv(*xs),
     "isubmul": lambda field, x, a, b: field.ops.isubmul(x.copy(), a, b),
     "t4_candidates": _ordered_basis_candidates,
+    "centralizer": lambda field, pair, w: centralizer_is_scalars(pair, w),
 }
 
 # (kernel, (p, m), operand shapes)
@@ -95,6 +100,11 @@ ROWS = [
     ("isubmul", (5, 7), [(16, 48), (16, 1), (1, 48)]),
     ("t4_candidates", (2, 1), [(3, 3)]),
     ("t4_candidates", (2, 2), [(3, 3)]),
+    ("centralizer", ((1 << 20) + 7, 1), [(2, 64, 64)]),
+    ("centralizer", ((1 << 31) - 1, 1), [(2, 16, 16)]),
+    ("centralizer", (2, 8), [(2, 16, 16)]),
+    ("centralizer", (3, 5), [(2, 16, 16)]),
+    ("centralizer", (5, 7), [(2, 8, 8)]),
 ]
 
 
@@ -110,6 +120,16 @@ def t4_side(field, n, c):
         if fixed is not None:
             return fixed[0], fixed[1], [vec_to_matrix(field, v, n) for v in vecsB]
     raise SystemExit(f"no t4 side of seed 1 over {field} passes step 3")
+
+
+def gate_pair(field, n, rng):
+    """A random pair whose first member has a unique simple eigenvalue, and
+    that eigenvalue's right eigenvector: the gate's seed."""
+    while True:
+        A1 = random_matrix(field, n, n, rng)
+        res = unique_simple_eigenvalue(A1)
+        if res is not None:
+            return (A1, random_matrix(field, n, n, rng)), res[2]
 
 
 def best_ms(f, repeats):
@@ -135,6 +155,8 @@ def main():
         rng = np.random.default_rng(1)
         if kernel == "t4_candidates":
             operands = t4_side(field, *shapes[0])
+        elif kernel == "centralizer":
+            operands = gate_pair(field, shapes[0][-1], rng)
         else:
             operands = [rng.integers(0, field.q, size=shape) for shape in shapes]
         f = KERNELS[kernel]

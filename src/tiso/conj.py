@@ -8,10 +8,13 @@ checked that C(Atuple) is the scalars, so the exact linear-system route (n^2
 unknowns) is decided by dimension alone: a line or nothing.  Alongside it
 there is a seeded fast path that propagates a single known vector pair
 through the tuple's Krylov closure, which is what makes large-n solves cheap.
+The same closure certifies the centralizer: when the seed spans the
+eigenline of a simple eigenvalue of A_1 and its closure is F^n, C(Atuple) is
+the scalars.
 
-Every span question here (does a seed generate F^n under the tuple, is a
-vector cyclic, do two matrices generate M(n, q)) is a rank read off
-`matgf.rref`, so it runs on the library's one pivot loop.
+Every span question here (does a seed generate F^n under the tuple, do two
+matrices generate M(n, q)) is a rank read off `matgf.rref`, so it runs on
+the library's one pivot loop.
 """
 
 from __future__ import annotations
@@ -23,12 +26,9 @@ import numpy as np
 from .errors import BadParams, InvariantViolation, ShapeMismatch
 from .gf import FieldSpec
 from .matgf import MatGF, identity, inverse_det, right_kernel, rref
-from .tensor import as_rng, mode_product
 
 # above this size the dense n^2-unknown system is not attempted
 FULL_SYSTEM_MAX_N = 32
-# random vectors tried per candidate before it is taken to be derogatory
-_CYCLIC_TRIES = 3
 
 
 @dataclass
@@ -99,6 +99,38 @@ def conj_coset(Atuple, Btuple) -> ConjCoset:
 # seeded conjugacy (Krylov propagation)
 
 
+def _closure(Atuple, w):
+    """The Krylov closure of w under the tuple, grown level by level.
+
+    Returns (X, keeps): X's columns are w and the kept images, a basis of
+    the closure when w != 0, and keeps[k] indexes the columns kept among
+    level k's candidates, the images of the newest vectors parent by parent
+    and member by member.  The kept ones are the pivot columns of
+    rref([X | candidates]) past X, which a vector-by-vector greedy pass also
+    keeps (the column rank profile).
+    """
+    n = Atuple[0].rows
+    field = Atuple[0].field
+    X = np.asarray(w, dtype=field.ops.dtype)[:, None]
+    new, keeps = X, []
+    while X.shape[1] < n:
+        r = X.shape[1]
+        cand = _images(Atuple, new)
+        keep = np.array(rref(field, np.concatenate([X, cand], axis=1))[1][r:], dtype=np.intp) - r
+        if not len(keep):
+            break
+        new = cand[:, keep]
+        X = np.concatenate([X, new], axis=1)
+        keeps.append(keep)
+    return X, keeps
+
+
+def _images(Atuple, V):
+    """The columns M V[:, j] for every column j and member M, parent-major."""
+    ops = Atuple[0].field.ops
+    return np.stack([ops.matmul(M.a, V) for M in Atuple], axis=2).reshape(V.shape[0], -1)
+
+
 def conj_with_seed(Atuple, Btuple, w, z):
     """Find T with T A_i = B_i T and T w in span(z), via closure propagation.
 
@@ -108,26 +140,16 @@ def conj_with_seed(Atuple, Btuple, w, z):
     """
     n = _check_tuples(Atuple, Btuple)
     field = Atuple[0].field
-    ops = field.ops
-    X = np.asarray(w, dtype=ops.dtype)[:, None]
-    Y = np.asarray(z, dtype=ops.dtype)[:, None]
-    if not X.any():
+    if not np.any(w):
         return None, False
-    # the closure grows level by level: the candidates are the images of the
-    # newest vectors, parent by parent and member by member, and the pivot
-    # columns of rref([X | candidates]) past X are the ones a vector-by-vector
-    # greedy pass keeps (the column rank profile)
-    newX, newY = X, Y
-    while X.shape[1] < n:
-        r = X.shape[1]
-        candX = np.stack([ops.matmul(A.a, newX) for A in Atuple], axis=2).reshape(n, -1)
-        keep = np.array(rref(field, np.concatenate([X, candX], axis=1))[1][r:], dtype=np.intp) - r
-        if not len(keep):
-            return None, False
-        newX = candX[:, keep]
-        newY = np.stack([ops.matmul(B.a, newY) for B in Btuple], axis=2).reshape(n, -1)[:, keep]
-        X = np.concatenate([X, newX], axis=1)
-        Y = np.concatenate([Y, newY], axis=1)
+    X, keeps = _closure(Atuple, w)
+    if X.shape[1] < n:
+        return None, False
+    # the B side replays the columns the A side kept, level by level
+    Y = new = np.asarray(z, dtype=field.ops.dtype)[:, None]
+    for keep in keeps:
+        new = _images(Btuple, new)[:, keep]
+        Y = np.concatenate([Y, new], axis=1)
     X, Y = MatGF(field, X), MatGF(field, Y)
     Xinv, d = inverse_det(X)
     if d == 0:
@@ -141,61 +163,21 @@ def conj_with_seed(Atuple, Btuple, w, z):
     return T, True
 
 
-def centralizer_is_scalars(Atuple, rng=None):
+def centralizer_is_scalars(Atuple, w):
     """Whether {X : X A_i = A_i X for all i} is exactly the scalar matrices.
 
-    Fast path: find a nonderogatory element E among the tuple members and a
-    few random combinations; its centralizer is {p(E)}, reducing the check to
-    an n-unknown system.  Falls back to the full n^2-unknown system at small
-    n; returns None (unknown) when neither route applies.
+    Precondition: w spans the eigenline of a simple eigenvalue of A_1.  Every
+    X in the centralizer then maps w to some c w, and so every vector of w's
+    closure under the tuple to c times itself: a closure that spans F^n
+    certifies X = c I.  Otherwise the full n^2-unknown system decides for
+    n <= FULL_SYSTEM_MAX_N, and above that the answer is None (unknown).
     """
     n = _check_tuples(Atuple, Atuple)
-    field = Atuple[0].field
-    rng = as_rng(rng)
-    stack = np.stack([M.a for M in Atuple])
-    coeffs = np.stack([rng.integers(0, field.q, size=len(Atuple)) for _ in range(3)])
-    candidates = [*stack, *mode_product(field, stack, coeffs, 0)]
-    for E in candidates:
-        if _is_nonderogatory(field, E, rng):
-            return _scalars_only_given_cyclic(field, E, Atuple)
+    if _closure(Atuple, w)[0].shape[1] == n:
+        return True
     if n <= FULL_SYSTEM_MAX_N:
         return len(intertwiner_space(Atuple, Atuple)) == 1
     return None
-
-
-def _is_nonderogatory(field: FieldSpec, E: np.ndarray, rng) -> bool:
-    """True if one of _CYCLIC_TRIES random vectors v is cyclic for E, that
-    is, if the Krylov matrix [v, Ev, .., E^(n-1) v] has rank n."""
-    n = E.shape[0]
-    ops = field.ops
-    for _ in range(_CYCLIC_TRIES):
-        K = [rng.integers(0, field.q, size=n, dtype=np.int64)]
-        for _ in range(n - 1):
-            K.append(ops.matmul(E, K[-1][:, None])[:, 0])
-        if len(rref(field, np.stack(K, axis=1))[1]) == n:
-            return True
-    return False
-
-
-def _scalars_only_given_cyclic(field: FieldSpec, E: np.ndarray, Atuple) -> bool:
-    """Given nonderogatory E, decide whether {p(E)} meets every centralizer
-    of the tuple only in the scalars.  The unknowns are the n coefficients of
-    p; kernel dimension 1 means scalars only."""
-    n = E.shape[0]
-    ops = field.ops
-    powers = [identity(field, n).a]
-    for _ in range(n - 1):
-        powers.append(ops.matmul(powers[-1], E))
-    rows = []
-    for M in Atuple:
-        cols = []
-        for P in powers:
-            comm = ops.sub(ops.matmul(P, M.a), ops.matmul(M.a, P))
-            cols.append(comm.reshape(-1))
-        rows.append(np.stack(cols, axis=1))
-    system = MatGF(field, np.concatenate(rows, axis=0))
-    _, right = right_kernel(system)
-    return len(right) == 1
 
 
 # ---------------------------------------------------------------------------

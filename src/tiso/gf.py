@@ -13,10 +13,11 @@ q = 256, whose `mul` and `inv` those tables serve too.
 Extension-field matrix products, and elementwise ones above q = 256, sum
 their digit-plane products unreduced in float64 while every partial sum
 stays below 2^53, and reduce once per product.
-`field_create` checks a modulus, and `FieldSpec.inv` inverts above the table
-limit, with :mod:`tiso.poly` over the prime field F_p: the Rabin test takes
-powers t^(p^k) mod the modulus with `powmod`, a power of the modulus's
-companion matrix.  Powers of elements and arrays use the square-and-multiply
+`FieldSpec.inv` inverts above the table limit by the extended Euclidean
+algorithm on digit lists mod p.  `field_create` checks a modulus with
+:mod:`tiso.poly` over the prime field F_p: the Rabin test takes powers
+t^(p^k) mod the modulus with `powmod`, a power of the modulus's companion
+matrix.  Powers of elements and arrays use the square-and-multiply
 `_power` of that module.
 """
 
@@ -39,8 +40,7 @@ from .errors import (
     NotPrime,
     ReducibleModulus,
 )
-from .poly import (Poly, _power, poly, poly_divmod, poly_eval, poly_gcd, poly_invmod, poly_sub,
-                   powmod)
+from .poly import Poly, _power, poly, poly_divmod, poly_eval, poly_gcd, poly_sub, powmod
 
 _MAX_P = 1 << 31
 _MAX_Q = 1 << 62
@@ -234,9 +234,30 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         if self.q <= _BYTE_TABLE_LIMIT:
             return int(self.ops._tables[2][a])
-        # extended Euclid on the digit polynomial of a, modulo the modulus over F_p
-        Fp = FieldSpec(self.p, 1, ())
-        return self.from_digits(poly_invmod(poly(Fp, self.digits(a)), poly(Fp, self.modulus)).coeffs)
+        # extended Euclid on digit lists mod p: each leading-term step on the
+        # remainders r0, r1 (from the modulus and a) repeats on the cofactors
+        # s0, s1, which keep s * a = r modulo the modulus; the modulus is
+        # irreducible, so the last nonzero remainder is a constant
+        p = self.p
+        r0, r1 = list(self.modulus), self.digits(a)
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            inv_lead = pow(r1[-1], p - 2, p)
+            s = s0 + [0] * max(0, len(r0) - len(r1) + len(s1) - len(s0))
+            while len(r0) >= len(r1):
+                c = r0[-1] * inv_lead % p
+                k = len(r0) - len(r1)
+                for j, b in enumerate(r1):
+                    r0[k + j] = (r0[k + j] - c * b) % p
+                for j, b in enumerate(s1):
+                    s[k + j] = (s[k + j] - c * b) % p
+                while r0 and not r0[-1]:
+                    r0.pop()
+            r0, r1, s0, s1 = r1, r0, s1, s
+        c = pow(r1[0], p - 2, p)
+        return self.from_digits([x * c for x in s1])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

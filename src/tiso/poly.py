@@ -11,9 +11,9 @@ quadratic residues.  That split needs odd q, which always holds there:
 `gf.field_create` caps the extension degree at 8, so every field of
 characteristic 2 has q <= 2^8 and takes the exhaustive path.
 
-`tiso.gf` tests its moduli for irreducibility and inverts extension-field
-elements with this module over F_p, so this module must not import `tiso.gf`
-at run time; it reaches the array arithmetic through a field's `ops`.
+`tiso.gf` tests its moduli for irreducibility with this module over F_p, so
+this module must not import `tiso.gf` at run time; it reaches the array
+arithmetic through a field's `ops`.
 """
 
 from __future__ import annotations
@@ -125,32 +125,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if not f.is_zero():
         f = poly_scale(f, f.field.inv(f.coeffs[-1]))
     return f
-
-
-def poly_invmod(a: Poly, f: Poly) -> Poly:
-    """The inverse of a modulo f by the extended Euclidean algorithm, on
-    coefficient lists: each leading-term step on the remainders r0, r1
-    repeats on the cofactors s0, s1, which keep s * a = r mod f."""
-    _same_field(a, f)
-    F = f.field
-    r0, r1 = list(f.coeffs), list(a.coeffs)
-    s0, s1 = [], [1]
-    while len(r1) > 1:
-        inv_lead = F.inv(r1[-1])
-        s = s0 + [0] * max(0, len(r0) - len(r1) + len(s1) - len(s0))
-        while len(r0) >= len(r1):
-            c = F.mul(r0[-1], inv_lead)
-            k = len(r0) - len(r1)
-            for j, b in enumerate(r1):
-                r0[k + j] = F.sub(r0[k + j], F.mul(c, b))
-            for j, b in enumerate(s1):
-                s[k + j] = F.sub(s[k + j], F.mul(c, b))
-            while r0 and r0[-1] == 0:
-                r0.pop()
-        r0, r1, s0, s1 = r1, r0, s1, s
-    if not r1:
-        raise DivideByZero("polynomial not invertible modulo f")
-    return poly_scale(poly(F, s1), F.inv(r1[0]))
 
 
 def poly_eval(f: Poly, a: int) -> int:

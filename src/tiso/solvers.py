@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (BadParams, InvariantViolation, NotSimpleEigenvalue,
                      ShapeMismatch)
 from .codes import code_from_slices, hull, trace_gram
-from .conj import (FULL_SYSTEM_MAX_N, centralizer_is_scalars, conj_coset, conj_with_seed,
-                   intertwiner_space, intertwiner_system)
+from .conj import (centralizer_is_scalars, conj_coset, conj_with_seed, intertwiner_space,
+                   intertwiner_system)
 from .gf import digit_planes
 from .matgf import (MatGF, charpoly_stack, eigen_profile, identity, inverse_det,
                     right_kernel, rref_rank_kernel, rref_stack, solve_linear,
@@ -121,21 +121,21 @@ def _hull_spanners(trace: StageTrace, A: Tensor3, B: Tensor3, direction: str, n:
     return _gate(trace, "step2", hull_spanner, CA, CB)
 
 
-def _conj_pair(trace: StageTrace, Atuple, Btuple, seed, rng):
+def _conj_pair(trace: StageTrace, Atuple, Btuple, seed):
     """Step 6's conjugator: T with T A_i = B_i T, and a stop as `_gate` gives.
 
-    Failure unless C(Atuple) is the scalars.  Then Conj(Atuple, Btuple) is a
-    line or holds no invertible element, so the seeded propagation (seed =
-    (w, z), a vector pair any intertwiner must match up to scale) or, for
-    n <= FULL_SYSTEM_MAX_N, `conj_coset` always decides, and no conjugator is
-    NotIsomorphic.  Above that size an undecided seed is Failure.
+    seed = (w, z) is a vector pair any intertwiner must match up to scale,
+    with w spanning the eigenline of a simple eigenvalue of A_1.  Failure
+    unless C(Atuple) is certified to be the scalars.  Then Conj(Atuple,
+    Btuple) is a line or holds no invertible element, and no conjugator is
+    NotIsomorphic.  The seeded propagation decides whenever w's closure spans
+    F^n, the only way the gate passes above FULL_SYSTEM_MAX_N; otherwise
+    `conj_coset` decides.
     """
-    if centralizer_is_scalars(Atuple, rng) is not True:
+    if centralizer_is_scalars(Atuple, seed[0]) is not True:
         return None, _fail(trace, "step6")
     T, decided = conj_with_seed(Atuple, Btuple, *seed)
     if not decided:
-        if Atuple[0].rows > FULL_SYSTEM_MAX_N:
-            return None, _fail(trace, "step6")
         T = conj_coset(Atuple, Btuple).representative
     if T is None:
         return None, _notiso(trace, "step6")
@@ -147,9 +147,11 @@ def _conj_pair(trace: StageTrace, Atuple, Btuple, seed, rng):
 
 
 def solve_algiso(A: Tensor3, B: Tensor3, rng=None):
-    """Average-case algebra-basis equivalence of two cubic tensors."""
+    """Average-case algebra-basis equivalence of two cubic tensors.
+
+    Nothing is drawn from rng, which `solve` passes to every solver.
+    """
     field, n = _check_pair3(A, B, 3)
-    rng = as_rng(rng)
     trace = StageTrace()
     simple_nonzero = partial(unique_simple_eigenvalue, require_nonzero=True)
 
@@ -189,7 +191,7 @@ def solve_algiso(A: Tensor3, B: Tensor3, rng=None):
     trace.record("step5", "pass", B1r.a, B2r.a)
 
     # step 6: tuple conjugacy and global verification
-    T, stop = _conj_pair(trace, (A1, A2), (B1r, B2r), (w1, z1), rng)
+    T, stop = _conj_pair(trace, (A1, A2), (B1r, B2r), (w1, z1))
     if stop:
         return stop
     ok, lam = verify_witness("algiso", A, B, {"T": T})
@@ -293,7 +295,7 @@ def solve_mcc(A: Tensor3, B: Tensor3, rng=None):
     # so e_1 is the matched right eigenvector of hAt and of hBt
     e1 = ops.zeros(n)
     e1[0] = 1
-    S, stop = _conj_pair(trace, (hAt, A2), (hBt, B2r), (e1, e1), rng)
+    S, stop = _conj_pair(trace, (hAt, A2), (hBt, B2r), (e1, e1))
     if stop:
         return stop
     # T from B_k = sum_k' T(k,k') S A_k' S^{-1}: solve x K = rhs row by row

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiso.conj import (_is_nonderogatory, centralizer_is_scalars, conj_coset,
-                       conj_with_seed, generates_full_algebra, intertwiner_space)
+from tiso.conj import (centralizer_is_scalars, conj_coset, conj_with_seed,
+                       generates_full_algebra, intertwiner_space)
 from tiso.errors import BadParams, ShapeMismatch
 from tiso.gf import field_create
 from tiso.matgf import (MatGF, identity, inverse_det, random_invertible,
@@ -20,6 +20,7 @@ F5 = field_create(5)
 F3 = field_create(3)
 F2 = field_create(2)
 F4 = field_create(2, 2)
+F8 = field_create(2, 3)
 
 
 def _conjugate_tuple(Atuple, T):
@@ -150,24 +151,6 @@ def test_conj_with_seed_undecided_inside_an_invariant_subspace():
     assert decided and X == identity(F5, 5)
 
 
-def test_is_nonderogatory_and_its_draws():
-    """One random vector per try, three tries: a derogatory E uses all three
-    draws, a companion matrix of an irreducible polynomial the first."""
-    n = 4
-    derogatory = np.diag([1, 1, 2, 3]).astype(F5.ops.dtype)
-    # companion matrix of t^4 + t^3 + t^2 + 1, irreducible over GF(5), so
-    # every nonzero vector is cyclic
-    companion = np.zeros((n, n), dtype=F5.ops.dtype)
-    companion[1:, :-1] = np.eye(n - 1, dtype=F5.ops.dtype)
-    companion[:, -1] = F5.ops.neg(np.array([1, 0, 1, 1], dtype=F5.ops.dtype))
-    for E, expected, draws in ((derogatory, False, 3), (companion, True, 1)):
-        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-        assert _is_nonderogatory(F5, E, rng) is expected
-        for _ in range(draws):
-            ref.integers(0, 5, size=n, dtype=np.int64)
-        assert rng.integers(0, 1 << 62) == ref.integers(0, 1 << 62)
-
-
 def _greedy_extension(field, first, mats):
     """Oracle: the members of `mats` that, taken in order, are independent of
     `first` and of the members kept before them."""
@@ -203,25 +186,35 @@ def test_kernel_code_side_extension_matches_greedy_oracle(field, c, seed):
     assert [A1 @ R for R in reduced] == _greedy_extension(field, A1, mats)
 
 
+def _seeded_pair(field, n, rng):
+    """A random pair whose first member has a unique simple eigenvalue, with
+    that eigenvalue's right eigenvector as the gate's seed."""
+    while True:
+        A1 = random_matrix(field, n, n, rng)
+        res = unique_simple_eigenvalue(A1)
+        if res is not None:
+            return (A1, random_matrix(field, n, n, rng)), res[2]
+
+
 def test_centralizer_is_scalars_random_pair():
     rng = np.random.default_rng(5)
     hits = 0
     for _ in range(20):
-        A = (random_matrix(F3, 5, 5, rng), random_matrix(F3, 5, 5, rng))
-        if centralizer_is_scalars(A, rng):
+        A, w = _seeded_pair(F3, 5, rng)
+        if centralizer_is_scalars(A, w):
             hits += 1
     assert hits >= 15  # overwhelmingly scalar for random pairs
 
 
 def test_centralizer_is_scalars_memory_is_one_sided():
-    """The n=48 gate solves a 4608 x 48 system; its left kernel alone would
-    be a 4560 x 4608 int64 basis (168 MB), and nothing reads it."""
+    """The n=48 gate grows the seed's 48-column closure; the n^2-unknown
+    system it never builds would be a 4608 x 2304 int64 matrix (85 MB)."""
     field = field_create((1 << 20) + 7)
     rng = np.random.default_rng(9)
-    pair = (random_matrix(field, 48, 48, rng), random_matrix(field, 48, 48, rng))
+    pair, w = _seeded_pair(field, 48, rng)
     tracemalloc.start()
     try:
-        scalars = centralizer_is_scalars(pair, rng)
+        scalars = centralizer_is_scalars(pair, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -231,18 +224,69 @@ def test_centralizer_is_scalars_memory_is_one_sided():
 
 def test_centralizer_not_scalars_for_polynomial_tuple():
     rng = np.random.default_rng(6)
-    A = random_matrix(F5, 4, 4, rng)
+    (A, _), w = _seeded_pair(F5, 4, rng)
     # (A, A^2) commutes with every polynomial in A: centralizer dim >= 4 > 1
-    assert centralizer_is_scalars((A, A @ A), rng) is False
+    assert centralizer_is_scalars((A, A @ A), w) is False
 
 
 def test_centralizer_matches_full_system_on_small_n():
     rng = np.random.default_rng(7)
     for _ in range(15):
-        A = (random_matrix(F5, 3, 3, rng), random_matrix(F5, 3, 3, rng))
-        fast = centralizer_is_scalars(A, rng)
+        A, w = _seeded_pair(F5, 3, rng)
+        fast = centralizer_is_scalars(A, w)
         exact = len(intertwiner_space(A, A)) == 1
         assert fast == exact
+
+
+def test_centralizer_gate_matches_the_full_system_oracle():
+    """The gate equals the n^2-unknown system on seeded pairs of three kinds:
+    random; (A_1, a polynomial in A_1), whose centralizer is never the
+    scalars; and pairs sharing the eigenvector e_1 of A_1 (first columns
+    zero below the diagonal), whose closure is span(e_1) while their
+    centralizer is mostly the scalars.  Both answers come from closures that
+    do not span, and True from closures that do."""
+    rng = np.random.default_rng(12)
+    seen = set()
+    for field in (F2, F3, F4, F5, F8):
+        # at n = 2 no matrix has a unique simple eigenvalue
+        for n in range(3, 6):
+            for kind in ("random", "polynomial", "shared_eigenvector") * 4:
+                (A1, A2), w = _seeded_pair(field, n, rng)
+                if kind == "polynomial":
+                    c = [int(x) for x in rng.integers(0, field.q, size=3)]
+                    A2 = (A1 @ A1).scale(c[0]) + A1.scale(c[1]) + identity(field, n).scale(c[2])
+                elif kind == "shared_eigenvector":
+                    for M in (A1, A2):
+                        M.a[1:, 0] = 0
+                    w = unique_simple_eigenvalue(A1)
+                    if w is None:
+                        continue
+                    w = w[2]
+                gate = centralizer_is_scalars((A1, A2), w)
+                exact = len(intertwiner_space((A1, A2), (A1, A2))) == 1
+                assert gate == exact
+                spans = conj_with_seed((A1, A2), (A1, A2), w, w)[1]
+                seen.add((spans, gate))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_centralizer_unknown_above_the_full_system_size():
+    """At n = 33 > FULL_SYSTEM_MAX_N a closure that does not span leaves the
+    gate undecided: A_1 and A_2 share the eigenvector e_1 of A_1's simple
+    eigenvalue, so the closure of e_1 is span(e_1)."""
+    field = field_create((1 << 20) + 7)
+    rng = np.random.default_rng(14)
+    n = 33
+    A = (random_matrix(field, n, n, rng), random_matrix(field, n, n, rng))
+    for M in A:
+        M.a[1:, 0] = 0
+    # A_1's eigenvalue at e_1 is simple when it is no eigenvalue of the block below
+    lam = int(A[0].a[0, 0])
+    block = MatGF(field, field.ops.sub(A[0].a[1:, 1:], lam * np.eye(n - 1, dtype=np.int64)))
+    assert inverse_det(block)[1] != 0
+    e1 = np.zeros(n, dtype=field.ops.dtype)
+    e1[0] = 1
+    assert centralizer_is_scalars(A, e1) is None
 
 
 def test_generates_full_algebra():

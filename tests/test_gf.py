@@ -75,11 +75,11 @@ def test_pow_and_order():
 
 
 def test_div_by_zero():
-    spec = field_create(5)
-    with pytest.raises(DivideByZero):
-        spec.inv(0)
-    with pytest.raises(DivideByZero):
-        spec.div(3, 0)
+    for spec in (field_create(5), field_create(3, 6)):
+        with pytest.raises(DivideByZero):
+            spec.inv(0)
+        with pytest.raises(DivideByZero):
+            spec.div(3, 0)
 
 
 def test_encoding_round_trip():
@@ -252,11 +252,15 @@ def test_field_pickles_after_use(pm):
     assert (back.ops.inv(x) == inv).all()
 
 
-@pytest.mark.parametrize("pm", [(17, 2), (3, 6), (5, 7), ((1 << 31) - 1, 2)], ids=str)
+@pytest.mark.parametrize("pm", [(17, 2), (3, 6), (5, 7), (65521, 2), ((1 << 31) - 1, 2)],
+                         ids=str)
 def test_inverse_above_the_table_limit_is_fermat(pm):
+    """Every element of the fields up to q = 729, 40 random ones above."""
     spec = field_create(*pm)
     rng = np.random.default_rng(13)
-    for a in [1, spec.p, spec.q - 1] + [int(x) for x in rng.integers(1, spec.q, 40)]:
+    elements = range(1, spec.q) if spec.q <= 729 else (
+        [1, spec.p, spec.q - 1] + [int(x) for x in rng.integers(1, spec.q, 40)])
+    for a in elements:
         inv = spec.inv(a)
         assert inv == spec.pow(a, spec.q - 2)
         assert spec.mul(a, inv) == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tiso.errors import DivideByZero, ZeroPolynomial
 from tiso.gf import field_create
 from tiso.poly import (linear_factor_part, poly, poly_add, poly_divmod,
-                       poly_eval, poly_gcd, poly_invmod, poly_mul, poly_sub,
+                       poly_eval, poly_gcd, poly_mul, poly_sub,
                        powmod, roots_in_Fq)
 
 F5 = field_create(5)
@@ -162,21 +162,6 @@ def test_powmod_of_a_base_above_the_modulus_degree(field):
 def test_powmod_modulus_must_be_nonconstant(modulus):
     with pytest.raises(DivideByZero):
         powmod(poly(F5, [0, 1]), 5, poly(F5, modulus))
-
-
-@pytest.mark.parametrize("field", [F5, F8, field_create((1 << 31) - 1)], ids=repr)
-def test_poly_invmod_inverts_modulo_f(field):
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        f = poly(field, [int(c) for c in rng.integers(0, field.q, rng.integers(1, 7))] + [1])
-        a = poly(field, [int(c) for c in rng.integers(0, field.q, rng.integers(0, 10))])
-        if a.is_zero() or poly_gcd(a, f).degree > 0:
-            with pytest.raises(DivideByZero):
-                poly_invmod(a, f)
-            continue
-        inv = poly_invmod(a, f)
-        assert inv.degree < f.degree
-        assert poly_divmod(poly_mul(a, inv), f)[1] == poly(field, [1])
 
 
 def test_large_field_randomized_splitting():

@@ -63,6 +63,25 @@ def test_determinism_given_seed():
     assert t1.to_json() == t2.to_json()
 
 
+def test_algiso_draws_nothing_from_rng():
+    """Seeded planted GF(5) pairs that reach step 6: solve_algiso leaves the
+    generator it is given untouched, and its verdict and trace do not depend
+    on the seed."""
+    for seed in (8, 31, 39):
+        rng = np.random.default_rng(seed)
+        A = reassemble(F5, deep_slices(F5, 8, rng), "horizontal")
+        B = act_algebra(A, random_invertible(F5, 8, rng))
+        outs = []
+        for solve_seed in (0, 1):
+            gen = np.random.default_rng(solve_seed)
+            state = gen.bit_generator.state
+            verdict, trace = solve_algiso(A, B, gen)
+            assert trace.reached("step6")
+            assert gen.bit_generator.state == state
+            outs.append(json.dumps([verdict.to_json(), trace.to_json()]))
+        assert outs[0] == outs[1]
+
+
 def test_algiso_deep_instance_full_pipeline():
     """Engineered hull-surviving instance; frozen seed reaches stage six and
     recovers a verifying witness."""
@@ -261,11 +280,11 @@ def test_step6_conjugacy_decides_when_the_seed_does_not():
     seed = (e2, ops.matmul(T.a, e2[:, None])[:, 0])
     assert conj_with_seed(A, B, *seed) == (None, False)
     trace = StageTrace()
-    S, stop = _conj_pair(trace, A, B, seed, np.random.default_rng(0))
+    S, stop = _conj_pair(trace, A, B, seed)
     assert stop is None
     assert all(S @ M == N @ S for M, N in zip(A, B))
     Z = (MatGF(F5, ops.zeros((2, 2))),) * 2
-    S, (verdict, _) = _conj_pair(trace, A, Z, seed, np.random.default_rng(0))
+    S, (verdict, _) = _conj_pair(trace, A, Z, seed)
     assert S is None and (verdict.kind, verdict.stage) == ("NotIsomorphic", "step6")
 
 
