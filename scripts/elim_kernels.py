@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Kernel rows for the elimination row update, the extension-field
-products, the t4 candidate screen and step 6's centralizer gate: the
-best-of-N wall time, in ms, of `matgf._pivot_loop` on one seeded random
-matrix per row, of `matgf.rref_stack` on one seeded random stack, of
+products, the t4 candidate screen, step 6's centralizer gate and the
+two-sided kernels: the best-of-N wall time, in ms, of `matgf._pivot_loop` on
+one seeded random matrix per row, of `matgf.rref_stack` on one seeded random
+stack, of
 `matgf.charpoly` on one seeded random square matrix, of `FieldOps.matmul`,
 `mul`, `inv` and `isubmul` (on a fresh copy of x each call) on seeded random
 operands, over the fields the benchmark workloads use, of
@@ -10,7 +11,8 @@ operands, over the fields the benchmark workloads use, of
 seeded planted corank-3 t4 instance that passes the step-3 gate (shape
 [n, c]), and of `conj.centralizer_is_scalars` on a seeded random pair whose
 first member has a unique simple eigenvalue, seeded with its right
-eigenvector (shape [2, n, n]).  The `mul` and `inv` rows over GF(2^8) and
+eigenvector (shape [2, n, n]), and of `matgf.rref_rank_kernel` on one seeded
+matrix of a given rank (shape [rows, cols, rank]).  The `mul` and `inv` rows over GF(2^8) and
 GF(3^5) read the q x q byte tables; those over GF(17^2) and GF(3^6), the
 first fields past q = 256, take digit planes.
 
@@ -18,7 +20,7 @@ Each row runs once untimed first, so lazily built field tables are not
 timed.  Prints one JSON object; its "rows" are the kernel rows of
 BENCH_elimination.json, BENCH_plane_products.json, BENCH_field_tables.json,
 BENCH_t4_enumeration.json, BENCH_delayed_reduction.json,
-BENCH_row_update.json and BENCH_centralizer.json.
+BENCH_row_update.json, BENCH_centralizer.json and BENCH_solve_once.json.
 
 Example:
     python3 scripts/elim_kernels.py --repeats 5
@@ -32,10 +34,10 @@ import time
 import numpy as np
 
 from tiso import cli
-from tiso.conj import centralizer_is_scalars
+from tiso.conj import _closure, centralizer_is_scalars
 from tiso.gf import field_create
-from tiso.matgf import (MatGF, _pivot_loop, charpoly, random_matrix, rref_rank_kernel,
-                        rref_stack, unique_simple_eigenvalue)
+from tiso.matgf import (MatGF, _pivot_loop, charpoly, random_invertible, random_matrix,
+                        rref_rank_kernel, rref_stack, unique_simple_eigenvalue, zeros)
 from tiso.solvers import _kernel_code_side, _ordered_basis_candidates
 from tiso.tensor import flatten4, gen_instance, vec_to_matrix
 
@@ -49,7 +51,8 @@ KERNELS = {
     "inv": lambda field, *xs: field.ops.inv(*xs),
     "isubmul": lambda field, x, a, b: field.ops.isubmul(x.copy(), a, b),
     "t4_candidates": _ordered_basis_candidates,
-    "centralizer": lambda field, pair, w: centralizer_is_scalars(pair, w),
+    "centralizer": lambda field, pair, w: centralizer_is_scalars(pair, _closure(pair, w)),
+    "rref_rank_kernel": lambda field, A: rref_rank_kernel(A),
 }
 
 # (kernel, (p, m), operand shapes)
@@ -105,6 +108,9 @@ ROWS = [
     ("centralizer", (2, 8), [(2, 16, 16)]),
     ("centralizer", (3, 5), [(2, 16, 16)]),
     ("centralizer", (5, 7), [(2, 8, 8)]),
+    ("rref_rank_kernel", ((1 << 20) + 7, 1), [(64, 64, 63)]),
+    ("rref_rank_kernel", (7, 1), [(10, 10, 9)]),
+    ("rref_rank_kernel", (2, 1), [(9, 9, 6)]),
 ]
 
 
@@ -132,6 +138,13 @@ def gate_pair(field, n, rng):
             return (A1, random_matrix(field, n, n, rng)), res[2]
 
 
+def rank_matrix(field, rows, cols, rank, rng):
+    """P [I_rank 0; 0 0] Q for seeded random invertible P and Q."""
+    D = zeros(field, rows, cols)
+    D.a[range(rank), range(rank)] = 1
+    return random_invertible(field, rows, rng) @ D @ random_invertible(field, cols, rng)
+
+
 def best_ms(f, repeats):
     f()
     best = float("inf")
@@ -157,6 +170,8 @@ def main():
             operands = t4_side(field, *shapes[0])
         elif kernel == "centralizer":
             operands = gate_pair(field, shapes[0][-1], rng)
+        elif kernel == "rref_rank_kernel":
+            operands = [rank_matrix(field, *shapes[0], rng)]
         else:
             operands = [rng.integers(0, field.q, size=shape) for shape in shapes]
         f = KERNELS[kernel]

@@ -131,19 +131,18 @@ def _images(Atuple, V):
     return np.stack([ops.matmul(M.a, V) for M in Atuple], axis=2).reshape(V.shape[0], -1)
 
 
-def conj_with_seed(Atuple, Btuple, w, z):
+def conj_with_seed(Atuple, Btuple, closure, z):
     """Find T with T A_i = B_i T and T w in span(z), via closure propagation.
 
-    Returns (T, decided): decided=False means the seed vector did not
-    generate the full space, so nothing was concluded; decided=True with
-    T=None certifies that no such intertwiner exists.
+    closure is `_closure(Atuple, w)`.  Returns (T, decided): decided=False
+    means w is zero or did not generate the full space, so nothing was
+    concluded; decided=True with T=None certifies that no such intertwiner
+    exists.
     """
     n = _check_tuples(Atuple, Btuple)
     field = Atuple[0].field
-    if not np.any(w):
-        return None, False
-    X, keeps = _closure(Atuple, w)
-    if X.shape[1] < n:
+    X, keeps = closure
+    if X.shape[1] < n or not X[:, 0].any():
         return None, False
     # the B side replays the columns the A side kept, level by level
     Y = new = np.asarray(z, dtype=field.ops.dtype)[:, None]
@@ -163,17 +162,18 @@ def conj_with_seed(Atuple, Btuple, w, z):
     return T, True
 
 
-def centralizer_is_scalars(Atuple, w):
+def centralizer_is_scalars(Atuple, closure):
     """Whether {X : X A_i = A_i X for all i} is exactly the scalar matrices.
 
-    Precondition: w spans the eigenline of a simple eigenvalue of A_1.  Every
-    X in the centralizer then maps w to some c w, and so every vector of w's
-    closure under the tuple to c times itself: a closure that spans F^n
-    certifies X = c I.  Otherwise the full n^2-unknown system decides for
-    n <= FULL_SYSTEM_MAX_N, and above that the answer is None (unknown).
+    closure is `_closure(Atuple, w)` for a w that spans the eigenline of a
+    simple eigenvalue of A_1.  Every X in the centralizer then maps w to some
+    c w, and so every vector of w's closure under the tuple to c times
+    itself: a closure that spans F^n certifies X = c I.  Otherwise the full
+    n^2-unknown system decides for n <= FULL_SYSTEM_MAX_N, and above that the
+    answer is None (unknown).
     """
     n = _check_tuples(Atuple, Atuple)
-    if _closure(Atuple, w)[0].shape[1] == n:
+    if closure[0].shape[1] == n:
         return True
     if n <= FULL_SYSTEM_MAX_N:
         return len(intertwiner_space(Atuple, Atuple)) == 1

@@ -17,8 +17,9 @@ unreduced on prime fields: the loops reduce what they read, the rest every
 `FieldOps.headroom` = ⌊(2^63 − 1 − p)/(p − 1)²⌋ columns and all at the end
 (pivot columns are zero mod p till then).  The Hessenberg `charpoly` takes
 the same update and reduces it at once, since the next step reads it all.
-`right_kernel` takes one elimination (`rref_rank_kernel` adds the left
-kernel), and `solve_linear` reads the solutions for many right-hand sides and
+`right_kernel` takes one elimination; `rref_rank_kernel` adds the left
+kernel by one elimination of [A | I], rows x (cols + rows) cells, in place
+of two.  `solve_linear` reads the solutions for many right-hand sides and
 the kernel off one elimination of [A | b].
 
 The solvers' spectral gate, `unique_simple_eigenvalue`, is matrix products
@@ -239,12 +240,19 @@ def right_kernel(A: MatGF):
 def rref_rank_kernel(A: MatGF):
     """(rank, right kernel basis, left kernel basis), kernels canonical.
 
-    Left-kernel elements are row vectors (the right kernel of A^T); for a tall
-    A that is a (rows - rank) x rows basis, so use `right_kernel` if unread.
+    One elimination of [A | I], rows x (cols + rows) cells: R[:, :cols] is
+    rref(A), and the rows of E = R[rank:, cols:] span the left kernel.  Its
+    canonical basis (that of `right_kernel(A.T)`: each vector ends in a 1
+    where the others vanish) is E reduced from the right, the rref of E with
+    columns reversed, rows and columns reversed back.  Left-kernel elements
+    are row vectors; use `right_kernel` if they are unread.
     """
-    rank, right = right_kernel(A)
-    _, left = right_kernel(A.T)
-    return rank, right, left
+    rows, cols = A.shape
+    R, pivots, _ = _pivot_loop(A.field, np.concatenate([A.a, identity(A.field, rows).a], axis=1))
+    rank = sum(c < cols for c in pivots)
+    right = _kernel_from_rref(A.field, R, pivots[:rank], cols)
+    left = rref(A.field, R[rank:, cols:][:, ::-1])[0][::-1, ::-1]
+    return rank, right, list(left)
 
 
 def _kernel_from_rref(field, R, pivots, ncols):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiso.conj import (centralizer_is_scalars, conj_coset, conj_with_seed,
+from tiso.conj import (_closure, centralizer_is_scalars, conj_coset, conj_with_seed,
                        generates_full_algebra, intertwiner_space)
 from tiso.errors import BadParams, ShapeMismatch
 from tiso.gf import field_create
@@ -102,7 +102,7 @@ def test_conj_with_seed_matched_eigenvectors():
         # right eigenvectors: T maps A-side to B-side up to scale
         w = res[2]
         z = resB[2]
-        X, decided = conj_with_seed((A1, A2), (B1, B2), w, z)
+        X, decided = conj_with_seed((A1, A2), (B1, B2), _closure((A1, A2), w), z)
         if not decided:
             continue
         assert X is not None
@@ -123,7 +123,7 @@ def test_conj_with_seed_certifies_nonexistence():
         # B-side: unrelated tuple sharing A1's eigenvector seed shape
         B1 = random_matrix(F5, 5, 5, rng)
         B2 = random_matrix(F5, 5, 5, rng)
-        X, decided = conj_with_seed((A1, A2), (B1, B2), res[2],
+        X, decided = conj_with_seed((A1, A2), (B1, B2), _closure((A1, A2), res[2]),
                                     rng.integers(0, 5, size=5).astype(F5.ops.dtype))
         if decided:
             assert X is None or all((X @ M == N @ X)
@@ -142,12 +142,12 @@ def test_conj_with_seed_undecided_inside_an_invariant_subspace():
         M.a[2:, :2] = 0
         tuple_.append(M)
     w = np.array([1, 3, 0, 0, 0], dtype=F5.ops.dtype)
-    assert conj_with_seed(tuple_, tuple_, w, w) == (None, False)
+    assert conj_with_seed(tuple_, tuple_, _closure(tuple_, w), w) == (None, False)
     zero = np.zeros(5, dtype=F5.ops.dtype)
-    assert conj_with_seed(tuple_, tuple_, zero, w) == (None, False)
+    assert conj_with_seed(tuple_, tuple_, _closure(tuple_, zero), w) == (None, False)
     # a seed that generates F^5 decides, and the identity intertwines
-    X, decided = conj_with_seed(tuple_, tuple_, np.ones(5, dtype=F5.ops.dtype),
-                                np.ones(5, dtype=F5.ops.dtype))
+    ones = np.ones(5, dtype=F5.ops.dtype)
+    X, decided = conj_with_seed(tuple_, tuple_, _closure(tuple_, ones), ones)
     assert decided and X == identity(F5, 5)
 
 
@@ -201,7 +201,7 @@ def test_centralizer_is_scalars_random_pair():
     hits = 0
     for _ in range(20):
         A, w = _seeded_pair(F3, 5, rng)
-        if centralizer_is_scalars(A, w):
+        if centralizer_is_scalars(A, _closure(A, w)):
             hits += 1
     assert hits >= 15  # overwhelmingly scalar for random pairs
 
@@ -214,7 +214,7 @@ def test_centralizer_is_scalars_memory_is_one_sided():
     pair, w = _seeded_pair(field, 48, rng)
     tracemalloc.start()
     try:
-        scalars = centralizer_is_scalars(pair, w)
+        scalars = centralizer_is_scalars(pair, _closure(pair, w))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,14 +226,14 @@ def test_centralizer_not_scalars_for_polynomial_tuple():
     rng = np.random.default_rng(6)
     (A, _), w = _seeded_pair(F5, 4, rng)
     # (A, A^2) commutes with every polynomial in A: centralizer dim >= 4 > 1
-    assert centralizer_is_scalars((A, A @ A), w) is False
+    assert centralizer_is_scalars((A, A @ A), _closure((A, A @ A), w)) is False
 
 
 def test_centralizer_matches_full_system_on_small_n():
     rng = np.random.default_rng(7)
     for _ in range(15):
         A, w = _seeded_pair(F5, 3, rng)
-        fast = centralizer_is_scalars(A, w)
+        fast = centralizer_is_scalars(A, _closure(A, w))
         exact = len(intertwiner_space(A, A)) == 1
         assert fast == exact
 
@@ -262,10 +262,11 @@ def test_centralizer_gate_matches_the_full_system_oracle():
                     if w is None:
                         continue
                     w = w[2]
-                gate = centralizer_is_scalars((A1, A2), w)
+                closure = _closure((A1, A2), w)
+                gate = centralizer_is_scalars((A1, A2), closure)
                 exact = len(intertwiner_space((A1, A2), (A1, A2))) == 1
                 assert gate == exact
-                spans = conj_with_seed((A1, A2), (A1, A2), w, w)[1]
+                spans = conj_with_seed((A1, A2), (A1, A2), closure, w)[1]
                 seen.add((spans, gate))
     assert seen == {(True, True), (False, True), (False, False)}
 
@@ -286,7 +287,7 @@ def test_centralizer_unknown_above_the_full_system_size():
     assert inverse_det(block)[1] != 0
     e1 = np.zeros(n, dtype=field.ops.dtype)
     e1[0] = 1
-    assert centralizer_is_scalars(A, e1) is None
+    assert centralizer_is_scalars(A, _closure(A, e1)) is None
 
 
 def test_generates_full_algebra():

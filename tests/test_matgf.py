@@ -89,6 +89,33 @@ def test_right_kernel_is_the_right_part_of_rref_rank_kernel(field):
             assert not field.ops.matmul(A.a, v[:, None]).any()
 
 
+# (rows, cols, rank): zero, full-rank and rank-deficient matrices, square,
+# wide and tall, with kernels of dimension >= 2 on both sides; the tall
+# rank-30 one reduces its 10 x 40 left block by `rref`'s wide path, and the
+# 12 x 3 one takes the tall path of `right_kernel`
+ORACLE_SHAPES = [(5, 5, 0), (3, 7, 0), (7, 3, 0), (6, 6, 6), (4, 9, 4), (9, 4, 4),
+                 (7, 7, 4), (5, 9, 3), (10, 6, 3), (40, 30, 30), (12, 3, 2)]
+
+
+@pytest.mark.parametrize("field", [field_create(2), F5, field_create((1 << 20) + 7),
+                                   field_create((1 << 31) - 1), field_create(2, 8),
+                                   field_create(3, 5), field_create(5, 7)], ids=str)
+def test_rref_rank_kernel_matches_two_one_sided_kernels(field):
+    """The one elimination of [A | I] gives both canonical kernels exactly
+    as `right_kernel(A)` and `right_kernel(A.T)` do, in order."""
+    rng = np.random.default_rng(field.q % 1000)
+    for rows, cols, k in ORACLE_SHAPES:
+        # P [I_k 0; 0 0] Q has rank exactly k
+        D = zeros(field, rows, cols)
+        D.a[range(k), range(k)] = 1
+        A = random_invertible(field, rows, rng) @ D @ random_invertible(field, cols, rng)
+        rank, right, left = rref_rank_kernel(A)
+        assert (rank, len(left)) == (k, rows - k)
+        assert rank == right_kernel(A)[0]
+        assert _same_basis(right, right_kernel(A)[1])
+        assert _same_basis(left, right_kernel(A.T)[1])
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
 def test_rref_stack_matches_rref_and_inverse_det_slice_by_slice(field):
     rng = np.random.default_rng(47)

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import deep_slices
-from tiso.conj import conj_coset, conj_with_seed
+from tiso.conj import _closure, conj_coset, conj_with_seed
 from tiso.errors import BadParams, ShapeMismatch
 from tiso.gf import field_create
 from tiso.codes import trace_gram
 from tiso.matgf import (MatGF, charpoly, inverse_det, random_invertible, right_kernel, rref,
                         rref_rank_kernel)
+from tiso import solvers
 from tiso.solvers import (STAGES, StageTrace, _conj_pair, _kernel_code_side,
                           _ordered_basis_candidates, solve, solve_algiso,
                           solve_mcc, solve_t4)
@@ -95,6 +96,22 @@ def test_algiso_deep_instance_full_pipeline():
     assert trace.outcome("step6") == "pass"
     ok, lam = verify_witness("algiso", A, B, verdict.witness)
     assert ok and lam == 1
+
+
+@pytest.mark.parametrize("field,n,seed", [(F5, 8, 8), (field_create((1 << 20) + 7), 8, 5),
+                                          (field_create(2, 8), 6, 0)], ids=str)
+def test_algiso_witness_verifies_with_scalar_one(field, n, seed):
+    """The solver checks its conjugator T once and returns W = lam T with
+    Verdict.scalar = lam; W itself verifies exactly with scalar 1, and
+    lam^-1 W verifies with scalar lam."""
+    rng = np.random.default_rng(seed)
+    A = reassemble(field, deep_slices(field, n, rng), "horizontal")
+    B = act_algebra(A, random_invertible(field, n, rng))
+    verdict, trace = solve_algiso(A, B)
+    assert trace.outcome("step6") == "pass" and verdict.kind == "Isomorphic"
+    W, lam = verdict.witness["T"], verdict.scalar
+    assert verify_witness("algiso", A, B, {"T": W}) == (True, 1)
+    assert verify_witness("algiso", A, B, {"T": W.scale(field.inv(lam))}) == (True, lam)
 
 
 _OPTIMIZED_ALGISO = """
@@ -278,7 +295,7 @@ def test_step6_conjugacy_decides_when_the_seed_does_not():
     B = tuple(T @ M @ Tinv for M in A)
     e2 = np.array([0, 1], dtype=ops.dtype)
     seed = (e2, ops.matmul(T.a, e2[:, None])[:, 0])
-    assert conj_with_seed(A, B, *seed) == (None, False)
+    assert conj_with_seed(A, B, _closure(A, seed[0]), seed[1]) == (None, False)
     trace = StageTrace()
     S, stop = _conj_pair(trace, A, B, seed)
     assert stop is None
@@ -286,6 +303,39 @@ def test_step6_conjugacy_decides_when_the_seed_does_not():
     Z = (MatGF(F5, ops.zeros((2, 2))),) * 2
     S, (verdict, _) = _conj_pair(trace, A, Z, seed)
     assert S is None and (verdict.kind, verdict.stage) == ("NotIsomorphic", "step6")
+
+
+def test_stage_trace_digests_are_computed_when_serialized(monkeypatch):
+    """`to_json` hashes the payloads `record` kept: every digest equals the
+    one taken eagerly at `record`, so no solver wrote to a recorded array,
+    an entry without payload reads "", and `entries` holds only the stage
+    and outcome."""
+    eager = []
+    record = StageTrace.record
+
+    def eager_record(self, stage, outcome, *payload):
+        eager.append(solvers._digest(*payload) if payload else "")
+        record(self, stage, outcome, *payload)
+
+    monkeypatch.setattr(StageTrace, "record", eager_record)
+    rng = np.random.default_rng(6)
+    algiso = reassemble(F5, deep_slices(F5, 8, rng), "horizontal")
+    mcc = reassemble(F5, deep_slices(F5, 8, rng), "frontal")
+    pairs = [("algiso", algiso, act_algebra(algiso, random_invertible(F5, 8, rng))),
+             ("mcc", mcc, act_code_conj(mcc, random_invertible(F5, 8, rng),
+                                        random_invertible(F5, 8, rng)))]
+    for problem, n, q, mode in [("algiso", 8, 5, "unrelated"), ("mcc", 8, 5, "planted"),
+                                ("t4", 3, 2, "planted_corank(3)"), ("t4", 3, 2, "unrelated")]:
+        for seed in range(4):
+            pairs.append((problem,) + gen_instance(problem, n, q, mode, seed)[:2])
+    outcomes = set()
+    for problem, A, B in pairs:
+        eager.clear()
+        verdict, trace = solve(problem, A, B, rng=0)
+        assert all(list(e) == ["stage", "outcome"] for e in trace.entries)
+        assert [e["digest"] for e in trace.to_json()] == eager
+        outcomes.add((verdict.kind, "" in eager))
+    assert {("Isomorphic", False), ("Failure", True)} <= outcomes
 
 
 def test_t4_planted_corank_success():
